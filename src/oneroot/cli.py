@@ -300,11 +300,15 @@ def cmd_bloch_grid(state_file, measure_name, ntheta, nphi, out):
 
     thetas = np.linspace(0.0, np.pi, ntheta)
     phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-    for t in thetas:
-        a, b = np.cos(t / 2.0), np.sin(t / 2.0)
-        for p in phis:
-            amps = a * chi0 + b * np.exp(1j * p) * chi1
-            lines.append(f"{_fmt(t)},{_fmt(p)},{_fmt(measure.mag(measure.poly(amps)))}")
+    a, b = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    # every surface state at once: axes (theta, phi, amplitude)
+    amps = (a[:, None, None] * chi0
+            + (b[:, None] * np.exp(1j * phis))[:, :, None] * chi1)
+    values = measure.mag(measure.poly(amps))
+    phi_strs = [_fmt(p) for p in phis]
+    for t, row in zip(thetas, values):
+        t_str = _fmt(t)
+        lines.extend(f"{t_str},{p_str},{_fmt(v)}" for p_str, v in zip(phi_strs, row))
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .errors import (
     NotOneRoot,
@@ -124,8 +123,13 @@ def closed_form(state: RankTwoState, cert: RootCertificate) -> RoofResult:
     """
     if not cert.one_root:
         raise NotOneRoot("closed form needs a granted one-root certificate")
-    if trace_distance(state.density(), cert.state.density()) > TOL.same_state_atol:
-        raise PreconditionViolated("certificate gauge represents a different state")
+    if cert.state is not state:
+        # both gauges were validated when built, so their trace distance
+        # needs only the spectrum of the difference
+        same = (cert.state.m == state.m and 0.5 * np.abs(np.linalg.eigvalsh(
+            state.matrix() - cert.state.matrix())).sum() <= TOL.same_state_atol)
+        if not same:
+            raise PreconditionViolated("certificate gauge represents a different state")
     rdot = float(cert.state.bloch.cartesian() @ root_direction(cert.z))
     return RoofResult(0.5 * (1.0 - rdot) * cert.E_antipode, "closed_form", certificate=cert)
 
@@ -186,6 +190,18 @@ def wootters_mixed_concurrence(dm: DensityMatrix) -> float:
 
 
 # ---- oracle ----
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Only the oracle needs scipy, and importing it costs several times the
+    rest of a closed-form CLI command, so the import waits until here.
+    ``oracle_minimize`` looks this name up as a module global.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -413,6 +429,8 @@ def sample_sphere_identity_instance(n: int, rng=None) -> tuple[SphereGeometry, n
     SamplingFailed
         If no feasible set B is found within the attempt budget.
     """
+    from scipy.optimize import nnls
+
     if n not in (2, 4):
         raise PreconditionViolated(f"dimension: n = {n}, expected 2 or 4")
     rng = _as_rng(rng)

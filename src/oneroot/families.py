@@ -16,7 +16,7 @@ import numpy as np
 from .convexroof import OptimizerConfig, closed_form, oracle_minimize
 from .errors import (
     DegenerateParameters,
-    EntireRangeVanishes,
+    OneRootError,
     SamplingFailed,
     UnsupportedClass,
 )
@@ -322,10 +322,10 @@ def slocc_marginal(mu: int, params, op: SloccOperator, k: int) -> RankTwoState:
 class ScanRow:
     """One certified marginal: where it came from and what came out.
 
-    n_root_clusters = -1 marks a marginal whose span lies entirely inside
-    the zero set of the measure, so there is no root structure to count;
-    such rows are negatives (one_root = False). The class-7 qubit-1
-    marginal is of this kind for every local operator.
+    n_root_clusters = -1 marks a marginal without a root count: its span
+    lies entirely inside the zero set of the measure, or its certification
+    raised. Such rows are negatives (one_root = False). The class-7 qubit-1
+    marginal vanishes on its span for every local operator.
     """
 
     mu: int
@@ -387,7 +387,8 @@ def scan_classes(mus=(4, 5, 7, 8), draws: int = 20, base_seed: int = 0,
                 try:
                     cert = certify(state, SQRT_THREE_TANGLE)
                     clusters, one_root = cert.n_clusters, cert.one_root
-                except EntireRangeVanishes:
+                except OneRootError:
+                    # one row without a verdict must not abort the scan
                     cert, clusters, one_root = None, -1, False
                 closed = (closed_form(state, cert).value if one_root else None)
                 oracle_value = abs_diff = None

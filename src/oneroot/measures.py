@@ -153,11 +153,13 @@ def slocc_operator(factors, kappa: float = 1.0) -> SloccOperator:
     for i, f in enumerate(fs):
         if f.shape != (2, 2):
             raise DimensionMismatch(f"factor {i} has shape {f.shape}, expected (2, 2)")
+        if not np.isfinite(f).all():
+            raise DimensionMismatch(f"factor {i} has non-finite entries")
         det = np.linalg.det(f)
         if abs(det - 1.0) > TOL.slocc_det_atol:
             raise DimensionMismatch(f"factor {i} has det {det}, expected 1")
-    if not kappa > 0.0:
-        raise DimensionMismatch(f"scale kappa = {kappa} must be positive")
+    if not 0.0 < kappa < np.inf:
+        raise DimensionMismatch(f"scale kappa = {kappa} must be positive and finite")
     return SloccOperator(fs, float(kappa))
 
 

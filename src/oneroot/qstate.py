@@ -75,6 +75,8 @@ def pure_state(amps) -> PureState:
     """
     a = np.asarray(amps, dtype=complex).reshape(-1)
     m = _qubit_count(a.size)
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("amplitudes must be finite")
     nrm = float(np.linalg.norm(a))
     if abs(nrm - 1.0) > TOL.norm_atol:
         raise DimensionMismatch(f"amplitudes have norm {nrm}, expected 1")
@@ -118,6 +120,8 @@ def density_matrix(mat) -> DensityMatrix:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     m = _qubit_count(a.shape[0])
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix entries must be finite")
     if np.abs(a - a.conj().T).max() > TOL.herm_atol:
         raise DimensionMismatch("matrix is not Hermitian")
     if abs(np.trace(a).real - 1.0) > TOL.trace_atol or abs(np.trace(a).imag) > TOL.trace_atol:
@@ -146,12 +150,15 @@ def bloch_vector(r: float, theta: float, phi: float) -> BlochVector:
     """Validate ranges and build a :class:`BlochVector`.
 
     ``r`` must lie in the closed unit ball (up to ``TOL.bloch_atol``),
-    ``theta`` in [0, pi]; ``phi`` is wrapped into [0, 2 pi).
+    ``theta`` in [0, pi]; ``phi`` must be finite and is wrapped into
+    [0, 2 pi).
     """
     if not (-TOL.bloch_atol <= r <= 1.0 + TOL.bloch_atol):
         raise InvalidBloch(f"radius {r} outside [0, 1]")
     if not (0.0 <= theta <= np.pi + 1e-12):
         raise InvalidBloch(f"polar angle {theta} outside [0, pi]")
+    if not np.isfinite(phi):
+        raise InvalidBloch(f"azimuth {phi} is not finite")
     return BlochVector(float(min(max(r, 0.0), 1.0)), float(theta), float(np.mod(phi, 2 * np.pi)))
 
 
@@ -212,10 +219,14 @@ class RankTwoState:
         """2^m x 2 matrix whose columns are phi0, phi1."""
         return np.stack([self.phi0.amps, self.phi1.amps], axis=1)
 
+    def matrix(self) -> np.ndarray:
+        """The matrix sum_ij B_ij |phi_i><phi_j|, without re-validating it."""
+        f = self.basis_matrix()
+        return f @ _bloch_matrix(self.bloch) @ f.conj().T
+
     def density(self) -> DensityMatrix:
         """Reconstruct the density matrix sum_ij B_ij |phi_i><phi_j|."""
-        f = self.basis_matrix()
-        return density_matrix(f @ _bloch_matrix(self.bloch) @ f.conj().T)
+        return density_matrix(self.matrix())
 
 
 def make_rank_two(phi0: PureState, phi1: PureState, bloch: BlochVector,

@@ -1,15 +1,36 @@
 """End-to-end CLI tests through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oneroot
 from oneroot.cli import main
-from oneroot.families import TwoQubitFamily, two_qubit_concurrence, two_qubit_state
+from oneroot.families import (
+    TwoQubitFamily,
+    three_qubit_family,
+    three_qubit_state,
+    two_qubit_concurrence,
+    two_qubit_state,
+)
+from oneroot.measures import get_measure
 from oneroot.qstate import bloch_vector, ket, make_rank_two, pure_state
-from oneroot.stateio import save_state
+from oneroot.stateio import load_state, save_state
+from oneroot.zeropolytope import certify
+
+
+def run_fresh(*args):
+    """Run python in a new interpreter that imports oneroot from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oneroot.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
 
 
 @pytest.fixture
@@ -23,6 +44,34 @@ def one_root_file(tmp_path):
     path = tmp_path / "one_root.json"
     save_state(two_qubit_state(fam), str(path))
     return str(path), two_qubit_concurrence(fam)
+
+
+@pytest.fixture
+def three_qubit_file(tmp_path):
+    fam = three_qubit_family(0.6, 0.48, 0.64, 1.0, 0.2, 0.3, bloch_vector(0.5, 1.2, 0.7))
+    path = tmp_path / "three_qubit.json"
+    save_state(three_qubit_state(fam), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def nan_pure_file(tmp_path):
+    path = tmp_path / "nan_pure.json"
+    path.write_text('{"m": 2, "amps": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+    return str(path)
+
+
+@pytest.fixture
+def nan_matrix_file(tmp_path):
+    mat = [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+           [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+           [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+           [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]
+    text = json.dumps({"m": 2, "mat": mat})
+    # one off-diagonal entry NaN, the rest a valid rank-2 density matrix
+    path = tmp_path / "nan_mat.json"
+    path.write_text(text.replace("[0.0, 0.0]", "[NaN, 0.0]", 1))
+    return str(path)
 
 
 @pytest.fixture
@@ -72,6 +121,11 @@ class TestMeasure:
                                    "-M", "sqrt_three_tangle"])
         assert res.exit_code == 3
 
+    def test_nan_amplitude_rejected(self, runner, nan_pure_file):
+        res = runner.invoke(main, ["measure", nan_pure_file, "-M", "concurrence"])
+        assert res.exit_code == 3
+        assert "finite" in res.stderr
+
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(main, ["measure", str(tmp_path / "absent.json"),
                                    "-M", "concurrence"])
@@ -95,6 +149,11 @@ class TestCertify:
         assert cert["n_root_clusters"] == 1
         assert cert["measure"] == "concurrence"
         assert "z" in cert and "N" in cert and "E_antipode" in cert
+
+    def test_nan_matrix_entry_rejected(self, runner, nan_matrix_file):
+        res = runner.invoke(main, ["certify", nan_matrix_file, "-M", "concurrence"])
+        assert res.exit_code == 3
+        assert "finite" in res.stderr
 
     def test_not_one_root_exits_one(self, runner, bell_diagonal_file):
         res = runner.invoke(main, ["certify", bell_diagonal_file,
@@ -151,6 +210,22 @@ class TestRoof:
         # Bell-diagonal mix of |phi+>, |phi-> at r = 0.6 has roof 0.6
         assert abs(report["value"] - 0.6) < 1e-6
 
+    def test_nan_amplitude_rejected(self, runner, nan_pure_file):
+        res = runner.invoke(main, ["roof", nan_pure_file, "-M", "concurrence"])
+        assert res.exit_code == 3
+        assert "finite" in res.stderr
+
+    def test_oracle_in_fresh_process(self, one_root_file):
+        # the oracle imports scipy on first use; this runs that path cold
+        path, value = one_root_file
+        res = run_fresh("-m", "oneroot.cli", "roof", path, "-M", "concurrence",
+                        "--method", "oracle", "--restarts", "2")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["method"] == "oracle"
+        # an explicit ensemble can only sit on or above the roof
+        assert value - 1e-9 <= report["value"] <= 1.0
+
     def test_pure_state_is_its_own_roof(self, runner, pure_file):
         res = runner.invoke(main, ["roof", pure_file, "-M", "concurrence",
                                    "--method", "both"])
@@ -188,6 +263,18 @@ class TestScan:
         assert len(k1) == 1
         assert k1[0][3] == "-1" and k1[0][4] == "false" and k1[0][5] == ""
 
+    def test_row_error_keeps_the_scan(self, runner):
+        # one SLOCC marginal at this seed raises InterpolationUnsound in
+        # certify; the scan keeps it as a row without a verdict
+        res = runner.invoke(main, ["scan", "--with-slocc", "--draws", "20",
+                                   "--seed", "82"])
+        assert res.exit_code == 1
+        rows = [ln.split(",") for ln in res.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 4 * 4 * 20
+        bad = [r for r in rows if r[2] == "827402"]
+        assert bad == [["7", "4", "827402", "-1", "false", "", "", ""]]
+        assert "seed=827402" in res.stderr
+
     def test_bad_classes_string(self, runner):
         res = runner.invoke(main, ["scan", "--classes", "4,x"])
         assert res.exit_code == 2
@@ -220,6 +307,37 @@ class TestBlochGrid:
                       for t in np.unique(rows[:, 0])]
         assert all(x < y + 1e-12 for x, y in zip(ring_means, ring_means[1:]))
 
+    @pytest.mark.parametrize("fixture, measure_name", [
+        ("one_root_file", "concurrence"),
+        ("three_qubit_file", "sqrt_three_tangle"),
+        ("bell_diagonal_file", "concurrence"),
+    ])
+    def test_values_match_surface_states(self, runner, request, fixture,
+                                         measure_name):
+        path = request.getfixturevalue(fixture)
+        path = path[0] if isinstance(path, tuple) else path
+        res = runner.invoke(main, ["bloch-grid", path, "-M", measure_name,
+                                   "--ntheta", "7", "--nphi", "5"])
+        assert res.exit_code == 0
+        measure = get_measure(measure_name)
+        cert = certify(load_state(path), measure)
+        if cert.one_root:
+            chi0, chi1 = cert.root_state.amps, cert.antipode_state.amps
+        else:
+            chi0, chi1 = cert.state.phi0.amps, cert.state.phi1.amps
+        lines = res.stdout.strip().split("\n")
+        rows = [[float(x) for x in ln.split(",")] for ln in
+                lines[lines.index("theta,phi,value") + 1:]]
+        thetas = np.linspace(0.0, np.pi, 7)
+        phis = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        want = [(t, p) for t in thetas for p in phis]  # theta-major
+        assert len(rows) == len(want)
+        for (t, p, v), (t0, p0) in zip(rows, want):
+            assert abs(t - t0) < 1e-12 and abs(p - p0) < 1e-12
+            amps = np.cos(t0 / 2) * chi0 + np.sin(t0 / 2) * np.exp(1j * p0) * chi1
+            surface = pure_state(amps / np.linalg.norm(amps))
+            assert abs(v - measure.value(surface)) < 1e-12
+
     def test_eigenbasis_frame_on_non_one_root(self, runner, bell_diagonal_file):
         res = runner.invoke(main, ["bloch-grid", bell_diagonal_file,
                                    "-M", "concurrence",
@@ -243,3 +361,11 @@ class TestBlochGrid:
         assert res.exit_code == 0
         with open(out) as fh:
             assert fh.readline().startswith("# measure: concurrence")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter, because this test process may have loaded scipy
+    res = run_fresh("-c", "import sys, oneroot.cli; "
+                          "print('scipy.optimize' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -91,6 +91,20 @@ class TestClosedForm:
         with pytest.raises(PreconditionViolated):
             closed_form(st2, certify(st1, CONCURRENCE))
 
+    def test_accepts_certificate_from_another_gauge(self):
+        st = two_qubit_family_state(0.9, 0.3, 0.4, 0.9, 0.5)
+        cert = certify(st, CONCURRENCE)
+        # the same density matrix with phi0 and phi1 swapped: B -> X B X
+        swapped = make_rank_two(st.phi1, st.phi0,
+                                bloch_vector(0.4, np.pi - 0.9, -0.5))
+        assert closed_form(swapped, cert).value == closed_form(st, cert).value
+
+    def test_rejects_certificate_on_another_register(self):
+        st = two_qubit_family_state(0.9, 0.3, 0.4, 0.9, 0.5)
+        other = three_qubit_family_state(0.5, 0.3, 0.4, 0.6, 0.2, 0.3, 0.5, 1.2, 0.7)
+        with pytest.raises(PreconditionViolated):
+            closed_form(other, certify(st, CONCURRENCE))
+
     def test_three_qubit_family_value(self):
         st = three_qubit_family_state(0.5, 0.3, 0.4, 0.6, 0.2, 0.3, 0.5, 1.2, 0.7)
         cert = certify(st, SQRT_THREE_TANGLE)

@@ -126,6 +126,17 @@ class TestSlocc:
         with pytest.raises(DimensionMismatch):
             slocc_operator([np.eye(2), np.eye(2)], kappa=-1.0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(DimensionMismatch):
+            slocc_operator([np.eye(2), np.eye(2)], kappa=kappa)
+
+    def test_rejects_non_finite_factor(self):
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(DimensionMismatch):
+            slocc_operator([np.eye(2), bad])
+
     def test_invariance_of_underlying_polynomial(self):
         # P(L psi) = P(psi) exactly for det-1 factors; any index slip in the
         # hyperdeterminant monomials would break this

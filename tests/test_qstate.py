@@ -51,6 +51,11 @@ class TestPureState:
         with pytest.raises(DimensionMismatch):
             pure_state([1.0, 1.0])  # norm sqrt(2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DimensionMismatch):
+            pure_state([bad, 0.0, 0.0, 0.0])
+
     def test_dimension_must_be_power_of_two(self):
         with pytest.raises(DimensionMismatch):
             pure_state([1.0, 0.0, 0.0])
@@ -81,11 +86,24 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatch):
             density_matrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_non_finite(self):
+        a = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        a[0, 1] = np.nan
+        with pytest.raises(DimensionMismatch):
+            density_matrix(a)
+
 
 class TestBloch:
     def test_radius_validation(self):
         with pytest.raises(InvalidBloch):
             bloch_vector(1.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("r, theta, phi", [
+        (np.nan, 0.1, 0.2), (0.5, np.nan, 0.2), (0.5, 0.1, np.nan), (0.5, 0.1, np.inf),
+    ])
+    def test_rejects_non_finite(self, r, theta, phi):
+        with pytest.raises(InvalidBloch):
+            bloch_vector(r, theta, phi)
 
     def test_azimuth_wraps(self):
         assert abs(bloch_vector(0.5, 0.1, 2 * np.pi + 0.3).phi - 0.3) < 1e-12

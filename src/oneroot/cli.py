@@ -14,7 +14,7 @@ import sys
 import click
 import numpy as np
 
-from .convexroof import OptimizerConfig, closed_form, oracle_minimize
+from .convexroof import OptimizerConfig, closed_form, oracle_minimize, wootters_mixed_concurrence
 from .errors import (
     DimensionMismatch,
     EntireRangeVanishes,
@@ -95,7 +95,6 @@ def cmd_measure(state_file, measure_name):
                 _fail(_SHAPE, "mixed-state evaluation is only wired up for "
                               "concurrence (two qubits); use `roof` for "
                               "certified rank-2 states")
-            from .convexroof import wootters_mixed_concurrence
             value = wootters_mixed_concurrence(dm)
     except _SHAPE_ERRORS as exc:
         _fail(_SHAPE, str(exc))

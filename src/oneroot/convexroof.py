@@ -80,12 +80,6 @@ class RoofResult:
     oracle: OracleStats | None = None
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with phase fix."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
@@ -105,6 +99,24 @@ def _eigvec_coords(state: RankTwoState) -> np.ndarray:
     s = np.sin(state.bloch.theta / 2.0)
     e = np.exp(1j * state.bloch.phi)
     return np.array([[c, s * e], [-s * e.conjugate(), c]])
+
+
+def _eigen_rows(state: RankTwoState) -> np.ndarray:
+    """Span coordinates of the eigenensemble sqrt(lambda_j) |e_j>, one per row;
+    every ensemble of ``state`` is V @ _eigen_rows(state) for a nu x 2 isometry V."""
+    return np.sqrt(state.eigenvalues())[:, None] * _eigvec_coords(state)
+
+
+def _decomposition(state: RankTwoState, ab: np.ndarray) -> Decomposition:
+    """The ensemble with members |psi~_i> = a_i phi0 + b_i phi1 for the rows of
+    ``ab``, weighted by their squared norms; weights below ``TOL.weight_floor``
+    are dropped."""
+    tilde = ab @ state.basis_matrix().T  # rows psi~_i
+    p = np.einsum("ij,ij->i", tilde, tilde.conj()).real
+    keep = p >= TOL.weight_floor
+    states = tuple(PureState(tilde[i] / np.sqrt(p[i]), state.m)
+                   for i in np.flatnonzero(keep))
+    return Decomposition(p[keep], states, state)
 
 
 def closed_form(state: RankTwoState, cert: RootCertificate) -> RoofResult:
@@ -154,18 +166,10 @@ def random_decomposition(state: RankTwoState, nu: int, rng=None) -> Decompositio
     """
     if nu < 2:
         raise ValueError("ensemble size nu must be at least 2")
-    lam0, lam1 = state.eigenvalues()
-    if lam1 < TOL.rank_deficient:
+    if state.eigenvalues()[1] < TOL.rank_deficient:
         raise RankDeficient("state has rank 1; only trivial decompositions exist")
-    rng = _as_rng(rng)
-    evecs = state.basis_matrix() @ _eigvec_coords(state).T  # columns e0, e1
-    v = _haar_unitary(nu, rng)[:, :2]
-    tilde = (v * np.sqrt([lam0, lam1])) @ evecs.T  # rows psi~_i
-    p = np.einsum("ij,ij->i", tilde, tilde.conj()).real
-    keep = p >= TOL.weight_floor
-    states = tuple(PureState(tilde[i] / np.sqrt(p[i]), state.m)
-                   for i in np.flatnonzero(keep))
-    return Decomposition(p[keep], states, state)
+    v = _haar_unitary(nu, np.random.default_rng(rng))[:, :2]
+    return _decomposition(state, v @ _eigen_rows(state))
 
 
 def wootters_mixed_concurrence(dm: DensityMatrix) -> float:
@@ -221,11 +225,13 @@ class OptimizerConfig:
     seed: int = 0
 
 
-def _unitary_exp(x: np.ndarray, n: int) -> np.ndarray:
-    """exp(i(A + A^dag)) from 2 n^2 real coordinates (A = re + i im)."""
-    a = x[: n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
+def _exp_rows(x: np.ndarray, nu: int, w0: np.ndarray) -> np.ndarray:
+    """U[:, :2] @ w0 for U = exp(i(A + A^dag)), A = re + i im from 2 nu^2 reals:
+    only the first two columns of U ever touch the span."""
+    n2 = nu * nu
+    a = x[:n2].reshape(nu, nu) + 1j * x[n2:].reshape(nu, nu)
     w, q = np.linalg.eigh(a + a.conj().T)
-    return (q * np.exp(1j * w)) @ q.conj().T
+    return (q * np.exp(1j * w)) @ (q[:2, :].conj().T @ w0)
 
 
 def decomposition_objective(state: RankTwoState, measure: MeasureDescriptor,
@@ -236,30 +242,22 @@ def decomposition_objective(state: RankTwoState, measure: MeasureDescriptor,
     dim = 2 nu^2. Subnormalized vectors keep the objective smooth; by
     homogeneity the sum equals sum_i p_i E(psi_i). Each call costs one
     nu x nu eigh plus O(nu) arithmetic; the optimizer spends millions of
-    calls here, so the quadratic and quartic cases are spelled out instead
-    of routed through the generic polynomial evaluator.
+    calls here, so P(a phi0 + b phi1) = sum_j c_j a^(D-j) b^j is spelled
+    out for the two measure degrees, 2 and 4.
     """
-    lam = np.sqrt(state.eigenvalues())
-    w0 = lam[:, None] * _eigvec_coords(state)  # 2x2: V @ w0 has rows (a_i, b_i)
-    poly = build_polynomial(state, measure)
-    c = poly.coeffs
+    w0 = _eigen_rows(state)
+    c = build_polynomial(state, measure).coeffs
     mag = measure.mag
-    n2 = nu * nu
 
     def f(x: np.ndarray) -> float:
-        a = x[:n2].reshape(nu, nu) + 1j * x[n2:].reshape(nu, nu)
-        w, q = np.linalg.eigh(a + a.conj().T)
-        # only the first two columns of exp(iH) ever touch the span
-        ab = (q * np.exp(1j * w)) @ (q[:2, :].conj().T @ w0)
+        ab = _exp_rows(x, nu, w0)
         av, bv = ab[:, 0], ab[:, 1]
         if c.size == 3:
             p = (c[0] * av + c[1] * bv) * av + c[2] * bv * bv
-        elif c.size == 5:
+        else:
             a2, b2, axb = av * av, bv * bv, av * bv
             p = (c[0] * a2 * a2 + c[1] * a2 * axb + c[2] * a2 * b2
                  + c[3] * axb * b2 + c[4] * b2 * b2)
-        else:
-            return float(poly.span_value(av, bv).sum())
         return float(mag(p).sum())
 
     return f, 2 * nu * nu
@@ -276,18 +274,6 @@ def fd_gradient_norm(f: Callable[[np.ndarray], float], x: np.ndarray,
     return float(np.linalg.norm(g))
 
 
-def _ensemble_from_params(state: RankTwoState, x: np.ndarray, nu: int) -> Decomposition:
-    lam0, lam1 = state.eigenvalues()
-    evecs = state.basis_matrix() @ _eigvec_coords(state).T
-    v = _unitary_exp(x, nu)[:, :2]
-    tilde = (v * np.sqrt([lam0, lam1])) @ evecs.T
-    p = np.einsum("ij,ij->i", tilde, tilde.conj()).real
-    keep = p >= TOL.weight_floor
-    states = tuple(PureState(tilde[i] / np.sqrt(p[i]), state.m)
-                   for i in np.flatnonzero(keep))
-    return Decomposition(p[keep], states, state)
-
-
 def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
                     config: OptimizerConfig | None = None) -> RoofResult:
     """Brute-force roof: multistart derivative-free minimization.
@@ -300,11 +286,15 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
 
     A rank-1 state short-circuits to its pure value (the only ensembles are
     trivial).
+
+    For ``sqrt_three_tangle`` the value bounds the roof from above only to
+    about 1e-9: the objective takes 2 sqrt|p| of interpolated coefficients,
+    the square root magnifies their rounding near a root, and Powell finds
+    those dips (up to ~3e-9 below the roof on rotated family states).
     """
     cfg = config or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
-    lam0, lam1 = state.eigenvalues()
-    if lam1 < TOL.rank_deficient:
+    if state.eigenvalues()[1] < TOL.rank_deficient:
         e0 = PureState(state.basis_matrix() @ _eigvec_coords(state)[0], state.m)
         dec = Decomposition(np.array([1.0]), (e0,), state)
         stats = OracleStats(0, (), (), 0.0, 1, dec)
@@ -326,7 +316,7 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
         if res.fun < best_val:
             best_val, best_x, best_nu = float(res.fun), res.x, nu
     final_grad = fd_gradient_norm(objectives[best_nu][0], best_x, cfg.fd_step)
-    dec = _ensemble_from_params(state, best_x, best_nu)
+    dec = _decomposition(state, _exp_rows(best_x, best_nu, _eigen_rows(state)))
     stats = OracleStats(cfg.restarts, tuple(used_nus), tuple(start_grads),
                         final_grad, best_nu, dec)
     return RoofResult(best_val, "oracle", oracle=stats)
@@ -433,7 +423,7 @@ def sample_sphere_identity_instance(n: int, rng=None) -> tuple[SphereGeometry, n
 
     if n not in (2, 4):
         raise PreconditionViolated(f"dimension: n = {n}, expected 2 or 4")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     dim = n + 1
     center = rng.standard_normal(dim)
     radius = rng.uniform(0.5, 2.5)

@@ -47,12 +47,6 @@ TRACEABLE = {
 _PARAM_COUNT = {4: 2, 5: 1, 7: 0, 8: 0}
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 # ---- two-qubit family ----
 
 
@@ -92,7 +86,7 @@ def two_qubit_concurrence(fam: TwoQubitFamily) -> float:
 
 def random_two_qubit_family(rng=None) -> TwoQubitFamily:
     """Generic family member; gamma keeps clear of the product plane at 0."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     return TwoQubitFamily(
         rng.uniform(0.05, np.pi - 0.05),
         rng.uniform(0.0, 2.0 * np.pi),
@@ -189,7 +183,7 @@ def sqrt_tangle_formula(fam: ThreeQubitFamily) -> float:
 
 def random_three_qubit_family(rng=None) -> ThreeQubitFamily:
     """Generic canonical member: g is drawn above max(t1, t2, t3)."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     t1, t2 = rng.uniform(0.05, 0.6, 2)
     w = rng.uniform(0.35, 1.0, 3)
     w /= np.linalg.norm(w)
@@ -281,7 +275,7 @@ def random_slocc(seed, kappa: float = 1.0) -> SloccOperator:
     SamplingFailed
         If a factor keeps failing the condition cap within the budget.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     factors = []
     for _ in range(4):
         for _ in range(TOL.resample_cap):

@@ -49,13 +49,12 @@ class MeasureDescriptor:
     """A degree-2 homogeneous measure E = mag(P(psi)) on m qubits.
 
     ``poly`` evaluates P on amplitude arrays (broadcasting over leading
-    axes), ``mag`` maps |P| values to E values, ``poly_degree`` is the
-    degree D of P in the amplitudes, and ``h`` the homogeneity degree of E.
+    axes), ``mag`` maps |P| values to E values, and ``poly_degree`` is the
+    degree D of P in the amplitudes.
     """
 
     name: str
     m: int
-    h: int
     poly_degree: int
     poly: Callable[[np.ndarray], np.ndarray]
     mag: Callable[[np.ndarray], np.ndarray]
@@ -79,12 +78,12 @@ class MeasureDescriptor:
 
 
 CONCURRENCE = MeasureDescriptor(
-    name="concurrence", m=2, h=2, poly_degree=2,
+    name="concurrence", m=2, poly_degree=2,
     poly=_concurrence_poly, mag=lambda p: np.abs(p),
 )
 
 SQRT_THREE_TANGLE = MeasureDescriptor(
-    name="sqrt_three_tangle", m=3, h=2, poly_degree=4,
+    name="sqrt_three_tangle", m=3, poly_degree=4,
     poly=_hyperdet_poly, mag=lambda p: 2.0 * np.sqrt(np.abs(p)),
 )
 
@@ -97,14 +96,6 @@ def get_measure(name: str) -> MeasureDescriptor:
     except KeyError:
         raise WrongQubitCount(f"unknown measure {name!r}; "
                               f"known: {sorted(_REGISTRY)}") from None
-
-
-def measure_for_qubits(m: int) -> MeasureDescriptor:
-    """The measure canonically attached to an m-qubit register."""
-    for d in _REGISTRY.values():
-        if d.m == m:
-            return d
-    raise WrongQubitCount(f"no measure registered for {m} qubits")
 
 
 def concurrence(psi: PureState) -> float:
@@ -122,11 +113,6 @@ def three_tangle(psi: PureState) -> float:
 def sqrt_three_tangle(psi: PureState) -> float:
     """sqrt(tau), the degree-2 homogeneous companion of the tangle."""
     return SQRT_THREE_TANGLE.value(psi)
-
-
-def evaluate_unnormalized(measure: MeasureDescriptor, vec) -> float:
-    """E on an unnormalized vector; exactly degree-2 homogeneous."""
-    return measure.unnormalized(vec)
 
 
 @dataclass(frozen=True)

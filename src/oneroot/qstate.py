@@ -28,9 +28,7 @@ from .tolerances import TOL
 
 MAX_QUBITS = 5
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _qubit_count(dim: int) -> int:
@@ -89,13 +87,6 @@ def ket(bits: str) -> PureState:
     a = np.zeros(2 ** len(bits), dtype=complex)
     a[idx] = 1.0
     return PureState(a, len(bits))
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """Hermitian inner product <a|b>."""
-    if a.m != b.m:
-        raise DimensionMismatch("states live on different registers")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from .qstate import (
-    BlochVector,
     DensityMatrix,
     PureState,
     RankTwoState,

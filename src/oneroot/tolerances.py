@@ -21,7 +21,6 @@ class Tolerances:
     bloch_atol: float = 1e-12       # r may exceed 1 by at most this
     degenerate_gap: float = 1e-12   # spectral gap below which ordering is a tie-break
     phase_cut: float = 1e-8         # amplitude floor when picking the phase anchor
-    recon_atol: float = 1e-10       # density-matrix round-trip residual
 
     # measures
     zero_vector: float = 1e-150     # hard floor for unnormalized evaluation
@@ -34,7 +33,6 @@ class Tolerances:
     cluster_rel: float = 1e-5       # chain tolerance = cluster_rel * (1 + max|root|)
     merge_model_rtol: float = 1e-7  # partition acceptance, coefficient residual
     recenter_radius: float = 5.0    # |root| beyond which certify re-gauges
-    root_residual: float = 1e-9     # |p(root)| / max|c_j| certificate bound
     law_rtol: float = 1e-7          # distance-law residual / peak probe value
     law_probes: int = 32
     pole_min: float = 1e-10         # minimum E(phi1) for a pole-safe basis

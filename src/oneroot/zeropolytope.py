@@ -20,6 +20,7 @@ roots, and verifies the law at random probes before granting the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -47,14 +48,16 @@ def _vander_inv(degree: int) -> np.ndarray:
 _VINV = {2: _vander_inv(2), 4: _vander_inv(4)}
 
 
-def root_direction(z: complex) -> np.ndarray:
+def root_direction(z) -> np.ndarray:
     """Unit Bloch vector of the normalized state (phi0 + z phi1)/sqrt(1+|z|^2).
 
     The map sends omega = tan(t/2) e^{i phi} to polar angle t, azimuth phi:
-    (0 -> north pole phi0, infinity -> south pole phi1).
+    (0 -> north pole phi0, infinity -> south pole phi1). Broadcasts over an
+    array of z; the vector is the last axis.
     """
-    s = 1.0 + abs(z) ** 2
-    return np.array([2.0 * z.real / s, 2.0 * z.imag / s, (2.0 - s) / s])
+    z = np.asarray(z)
+    s = 1.0 + np.abs(z) ** 2
+    return np.stack([2.0 * z.real / s, 2.0 * z.imag / s, (2.0 - s) / s], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,6 @@ class ZeroPolynomial:
 
     coeffs: np.ndarray
     measure: MeasureDescriptor
-    state: RankTwoState
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
 
     def evaluate(self, omega) -> np.ndarray:
         """p(omega), broadcasting over arrays of omega."""
@@ -76,20 +74,6 @@ class ZeroPolynomial:
         for c in self.coeffs[::-1]:
             out = out * w + c
         return out
-
-    def span_poly(self, a, b) -> np.ndarray:
-        """P(a phi0 + b phi1) = sum_j c_j a^(D-j) b^j, the homogenization of p."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        d = self.degree
-        out = np.zeros(np.broadcast(a, b).shape, dtype=complex)
-        for j, c in enumerate(self.coeffs):
-            out = out + c * a ** (d - j) * b ** j
-        return out
-
-    def span_value(self, a, b) -> np.ndarray:
-        """E(a phi0 + b phi1), unnormalized, through the coefficients."""
-        return self.measure.mag(np.abs(self.span_poly(a, b)))
 
     def surface_value(self, omega) -> np.ndarray:
         """E of the normalized surface state at omega (h = 2)."""
@@ -121,7 +105,7 @@ def build_polynomial(state: RankTwoState, measure: MeasureDescriptor) -> ZeroPol
     coeffs = _VINV[d] @ measure.poly(base)
 
     scale = float(np.abs(coeffs).max())
-    poly = ZeroPolynomial(coeffs, measure, state)
+    poly = ZeroPolynomial(coeffs, measure)
     if scale > TOL.poly_floor:
         probe = state.phi0.amps[None, :] + _CHECK_NODES[:, None] * state.phi1.amps[None, :]
         resid = float(np.abs(poly.evaluate(_CHECK_NODES) - measure.poly(probe)).max())
@@ -259,6 +243,18 @@ def find_roots(poly: ZeroPolynomial) -> list[tuple[complex, int]]:
     return out
 
 
+def _rotated(state: RankTwoState, u: np.ndarray) -> RankTwoState:
+    """The same density matrix in the basis (phi0, phi1) @ u, for a 2x2 unitary u.
+
+    Rotating the basis conjugates the Bloch coefficient matrix, B -> u^dag B u.
+    """
+    f = state.basis_matrix()
+    bmat = u.conj().T @ _bloch_matrix(state.bloch) @ u
+    return make_rank_two(
+        PureState(f @ u[:, 0], state.m), PureState(f @ u[:, 1], state.m),
+        _bloch_from_matrix(bmat), state.degenerate)
+
+
 # pole rotations tried in order: identity, pole swap, then fixed mixers
 def _mixer(angle: float, phase: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -281,8 +277,7 @@ _POLE_ATTEMPTS: tuple[np.ndarray, ...] = (
 def pole_safe_basis(state: RankTwoState, measure: MeasureDescriptor) -> RankTwoState:
     """Rotate the basis within the span until E(phi1) is bounded away from 0.
 
-    The represented density matrix is unchanged: a basis rotation by a 2x2
-    unitary U conjugates the Bloch coefficient matrix, B -> U^dag B U. The
+    The represented density matrix is unchanged (see :func:`_rotated`). The
     attempt order is deterministic (identity, swap the poles, then six fixed
     mixing rotations), so the output gauge is reproducible.
 
@@ -294,15 +289,8 @@ def pole_safe_basis(state: RankTwoState, measure: MeasureDescriptor) -> RankTwoS
     """
     f = state.basis_matrix()
     for u in _POLE_ATTEMPTS:
-        chi1 = f @ u[:, 1]
-        if measure.unnormalized(chi1) >= TOL.pole_min:
-            if u is _POLE_ATTEMPTS[0]:
-                return state
-            chi0 = f @ u[:, 0]
-            bmat = u.conj().T @ _bloch_matrix(state.bloch) @ u
-            return make_rank_two(
-                PureState(chi0, state.m), PureState(chi1, state.m),
-                _bloch_from_matrix(bmat), state.degenerate)
+        if measure.unnormalized(f @ u[:, 1]) >= TOL.pole_min:
+            return state if u is _POLE_ATTEMPTS[0] else _rotated(state, u)
     raise EntireRangeVanishes(
         f"{measure.name} vanishes on the whole span within {TOL.pole_min}")
 
@@ -334,17 +322,23 @@ class RootCertificate:
         return len(self.roots)
 
 
-def _law_residual(poly: ZeroPolynomial, z: complex, n_const: float) -> float:
-    """Max relative deviation of E from N * chord^2 at fixed random probes."""
+@cache
+def _law_probes() -> tuple[np.ndarray, np.ndarray]:
+    """``TOL.law_probes`` fixed random surface points omega and their Bloch
+    directions, built on first use so that importing the package does not
+    load numpy.random."""
     rng = np.random.default_rng(1729)
     ct = rng.uniform(-1.0, 1.0, TOL.law_probes)
     az = rng.uniform(0.0, 2.0 * np.pi, TOL.law_probes)
-    t = np.arccos(ct)
-    omega = np.tan(t / 2.0) * np.exp(1j * az)
+    omega = np.tan(np.arccos(ct) / 2.0) * np.exp(1j * az)
+    return omega, root_direction(omega)
+
+
+def _law_residual(poly: ZeroPolynomial, z: complex, n_const: float) -> float:
+    """Max relative deviation of E from N * chord^2 at fixed random probes."""
+    omega, dirs = _law_probes()
     e_vals = poly.surface_value(omega)
-    zdir = root_direction(z)
-    dirs = np.stack([root_direction(complex(w)) for w in omega])
-    chord2 = ((dirs - zdir[None, :]) ** 2).sum(axis=1)
+    chord2 = ((dirs - root_direction(z)) ** 2).sum(axis=1)
     scale = max(float(e_vals.max()), 1e-300)
     return float(np.abs(e_vals - n_const * chord2).max()) / scale
 
@@ -389,12 +383,7 @@ def certify(state: RankTwoState, measure: MeasureDescriptor) -> RootCertificate:
         zc, _ = max(roots, key=lambda t: (t[1], abs(t[0])))
         d = np.sqrt(1.0 + abs(zc) ** 2)
         u = np.array([[1.0, -np.conj(zc)], [zc, 1.0]], dtype=complex) / d
-        f = safe.basis_matrix()
-        bmat = u.conj().T @ _bloch_matrix(safe.bloch) @ u
-        recentered = make_rank_two(
-            PureState(f @ u[:, 0], safe.m), PureState(f @ u[:, 1], safe.m),
-            _bloch_from_matrix(bmat), safe.degenerate)
-        safe = pole_safe_basis(recentered, measure)
+        safe = pole_safe_basis(_rotated(safe, u), measure)
         poly = build_polynomial(safe, measure)
         roots = rooted(poly)
 

@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from oneroot.cli import main as cli_main
@@ -182,6 +183,7 @@ def test_criterion2_decomposition_independence():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion3_oracle_agreement():
     """Brute-force roof matches the closed form and Wootters independently."""
     rng = np.random.default_rng(303)

@@ -203,6 +203,18 @@ class TestOracle:
         avg = average_over_decomposition(dec, CONCURRENCE)
         assert abs(avg - res.value) < 1e-9
 
+    def test_winner_decomposition_on_quartic_measure(self):
+        # the degree-4 branch of the objective against its own ensemble
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+        st = make_rank_two(pure_state(q[:, 0]), pure_state(q[:, 1]),
+                           bloch_vector(0.4, 1.0, 2.0))
+        assert not certify(st, SQRT_THREE_TANGLE).one_root
+        res = oracle_minimize(st, SQRT_THREE_TANGLE, OptimizerConfig(restarts=2, nu_max=3))
+        dec = res.oracle.decomposition
+        assert dec.reconstruction_error() < 1e-10
+        assert abs(average_over_decomposition(dec, SQRT_THREE_TANGLE) - res.value) < 1e-10
+
     def test_rank_one_short_circuit(self):
         st = two_qubit_family_state(1.1, 0.2, 1.0, 0.0, 0.0)
         res = oracle_minimize(st, CONCURRENCE)

@@ -14,7 +14,6 @@ from oneroot.measures import (
     SQRT_THREE_TANGLE,
     apply_slocc,
     concurrence,
-    evaluate_unnormalized,
     get_measure,
     slocc_operator,
     sqrt_three_tangle,
@@ -101,20 +100,20 @@ class TestThreeTangle:
 class TestHomogeneity:
     def test_unnormalized_anchor(self):
         # 3x a Bell vector: h = 2 gives a factor 9
-        assert abs(evaluate_unnormalized(CONCURRENCE, 3.0 * BELL.amps) - 9.0) < 1e-14
+        assert abs(CONCURRENCE.unnormalized(3.0 * BELL.amps) - 9.0) < 1e-14
 
     def test_degree_two_both_measures(self):
         for meas, m in ((CONCURRENCE, 2), (SQRT_THREE_TANGLE, 3)):
             for _ in range(100):
                 v = RNG.standard_normal(2 ** m) + 1j * RNG.standard_normal(2 ** m)
                 k = np.exp(RNG.uniform(-1.5, 1.5))
-                e1 = evaluate_unnormalized(meas, v)
-                e2 = evaluate_unnormalized(meas, k * v)
+                e1 = meas.unnormalized(v)
+                e2 = meas.unnormalized(k * v)
                 assert abs(e2 - k ** 2 * e1) <= 1e-12 * max(1.0, e2)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
-            evaluate_unnormalized(CONCURRENCE, np.zeros(4))
+            CONCURRENCE.unnormalized(np.zeros(4))
 
 
 class TestSlocc:
@@ -152,7 +151,7 @@ class TestSlocc:
         for _ in range(20):
             op = slocc_operator([random_sl2(), random_sl2()], kappa=RNG.uniform(0.5, 2))
             v = apply_slocc(op, ket("01"))
-            assert evaluate_unnormalized(CONCURRENCE, v) < 1e-12
+            assert CONCURRENCE.unnormalized(v) < 1e-12
 
     def test_local_unitary_invariance(self):
         # det-1 unitaries are SLOCC with kappa = 1 and preserve E exactly
@@ -163,7 +162,7 @@ class TestSlocc:
             psi = random_state(3)
             op = slocc_operator([u, np.eye(2), np.eye(2)])
             w = apply_slocc(op, psi)
-            assert abs(evaluate_unnormalized(SQRT_THREE_TANGLE, w)
+            assert abs(SQRT_THREE_TANGLE.unnormalized(w)
                        - sqrt_three_tangle(psi)) < 1e-12
 
     def test_registry(self):

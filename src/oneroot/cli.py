@@ -3,7 +3,8 @@
 Exit codes separate science from plumbing: 0 is success (or a granted
 certificate), 1 is a valid negative (not one-root), 2 is a parse problem,
 3 a dimension or rank problem, 4 a span on which the measure vanishes
-identically, 5 anything else that went wrong downstream.
+identically, 5 anything else that went wrong downstream. An error the
+package raises gets its code in one place, :meth:`_Main.invoke`, by type.
 """
 
 from __future__ import annotations
@@ -47,18 +48,13 @@ def _load(path: str):
         return load_state(path)
     except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
         _fail(_PARSE, f"cannot read state file {path}: {exc}")
-    except _SHAPE_ERRORS as exc:
-        _fail(_SHAPE, str(exc))
 
 
 def _as_rank_two(state, path: str) -> RankTwoState:
     if isinstance(state, RankTwoState):
         return state
     if isinstance(state, DensityMatrix):
-        try:
-            return eigen_decompose_rank2(state)
-        except _SHAPE_ERRORS as exc:
-            _fail(_SHAPE, str(exc))
+        return eigen_decompose_rank2(state)
     _fail(_SHAPE, f"{path} holds a pure state; this command needs a rank-2 "
                   "or density-matrix input")
 
@@ -73,7 +69,21 @@ _measure_option = click.option(
     help="Which degree-2 measure to use.")
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps the package's errors to exit codes for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except EntireRangeVanishes as exc:
+            _fail(_VANISHES, str(exc))
+        except _SHAPE_ERRORS as exc:
+            _fail(_SHAPE, str(exc))
+        except OneRootError as exc:
+            _fail(_OTHER, str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Entanglement toolkit for rank-2 states of degree-2 measures."""
 
@@ -86,18 +96,15 @@ def cmd_measure(state_file, measure_name):
     density matrix)."""
     measure = get_measure(measure_name)
     state = _load(state_file)
-    try:
-        if isinstance(state, PureState):
-            value = measure.value(state)
-        else:
-            dm = state.density() if isinstance(state, RankTwoState) else state
-            if measure_name != "concurrence":
-                _fail(_SHAPE, "mixed-state evaluation is only wired up for "
-                              "concurrence (two qubits); use `roof` for "
-                              "certified rank-2 states")
-            value = wootters_mixed_concurrence(dm)
-    except _SHAPE_ERRORS as exc:
-        _fail(_SHAPE, str(exc))
+    if isinstance(state, PureState):
+        value = measure.value(state)
+    else:
+        dm = state.density() if isinstance(state, RankTwoState) else state
+        if measure_name != "concurrence":
+            _fail(_SHAPE, "mixed-state evaluation is only wired up for "
+                          "concurrence (two qubits); use `roof` for "
+                          "certified rank-2 states")
+        value = wootters_mixed_concurrence(dm)
     click.echo(_fmt(value))
 
 
@@ -107,37 +114,9 @@ def cmd_measure(state_file, measure_name):
 def cmd_certify(state_file, measure_name):
     """Decide the one-root property; certificate JSON goes to stdout."""
     measure = get_measure(measure_name)
-    state = _as_rank_two(_load(state_file), state_file)
-    try:
-        cert = certify(state, measure)
-    except EntireRangeVanishes as exc:
-        _fail(_VANISHES, f"{exc} (every state in the span has zero {measure_name}; "
-                         "there is no root structure to certify)")
-    except _SHAPE_ERRORS as exc:
-        _fail(_SHAPE, str(exc))
-    except OneRootError as exc:
-        _fail(_OTHER, str(exc))
+    cert = certify(_as_rank_two(_load(state_file), state_file), measure)
     click.echo(json.dumps(certificate_to_dict(cert), indent=1, sort_keys=True))
     sys.exit(0 if cert.one_root else 1)
-
-
-def _optimizer_options(fn):
-    for deco in (
-        click.option("--restarts", default=64, show_default=True,
-                     help="Multistart count for the oracle."),
-        click.option("--nu-max", default=4, show_default=True,
-                     help="Largest ensemble size the oracle searches."),
-        click.option("--seed", default=0, show_default=True,
-                     help="Seed for the oracle restarts."),
-        click.option("--step-tol", default=1e-8, show_default=True,
-                     help="Line-search tolerance passed to the optimizer."),
-        click.option("--max-iters", default=120, show_default=True,
-                     help="Direction-sweep cap per restart."),
-        click.option("--fd-step", default=1e-6, show_default=True,
-                     help="Finite-difference step for gradient norms."),
-    ):
-        fn = deco(fn)
-    return fn
 
 
 @main.command(name="roof")
@@ -145,9 +124,11 @@ def _optimizer_options(fn):
 @_measure_option
 @click.option("--method", default="closed", show_default=True,
               type=click.Choice(["closed", "oracle", "both"]))
-@_optimizer_options
-def cmd_roof(state_file, measure_name, method, restarts, nu_max, seed,
-             step_tol, max_iters, fd_step):
+@click.option("--restarts", default=64, show_default=True,
+              help="Multistart count for the oracle.")
+@click.option("--seed", default=0, show_default=True,
+              help="Seed for the oracle restarts.")
+def cmd_roof(state_file, measure_name, method, restarts, seed):
     """Convex-roof value: exact closed form, brute-force oracle, or both."""
     measure = get_measure(measure_name)
     state = _load(state_file)
@@ -155,10 +136,7 @@ def cmd_roof(state_file, measure_name, method, restarts, nu_max, seed,
 
     if isinstance(state, PureState):
         # the roof of a pure state is its own value, whatever the method
-        try:
-            value = measure.value(state)
-        except _SHAPE_ERRORS as exc:
-            _fail(_SHAPE, str(exc))
+        value = measure.value(state)
         report["value"] = value
         if method == "both":
             report.update(closed=value, oracle=value, difference=0.0)
@@ -166,26 +144,18 @@ def cmd_roof(state_file, measure_name, method, restarts, nu_max, seed,
         return
 
     rank2 = _as_rank_two(state, state_file)
-    cfg = OptimizerConfig(restarts=restarts, nu_max=nu_max, step_tol=step_tol,
-                          max_iters=max_iters, fd_step=fd_step, seed=seed)
-    try:
-        if method in ("closed", "both"):
-            cert = certify(rank2, measure)
-            if not cert.one_root:
-                click.echo(json.dumps(certificate_to_dict(cert),
-                                      indent=1, sort_keys=True))
-                _fail(1, f"state is not one-root ({cert.n_clusters} root "
-                         "clusters); the closed form does not apply. "
-                         "Use --method oracle.")
-            report["closed"] = closed_form(rank2, cert).value
-        if method in ("oracle", "both"):
-            report["oracle"] = oracle_minimize(rank2, measure, cfg).value
-    except EntireRangeVanishes as exc:
-        _fail(_VANISHES, str(exc))
-    except _SHAPE_ERRORS as exc:
-        _fail(_SHAPE, str(exc))
-    except OneRootError as exc:
-        _fail(_OTHER, str(exc))
+    if method in ("closed", "both"):
+        cert = certify(rank2, measure)
+        if not cert.one_root:
+            click.echo(json.dumps(certificate_to_dict(cert),
+                                  indent=1, sort_keys=True))
+            _fail(1, f"state is not one-root ({cert.n_clusters} root "
+                     "clusters); the closed form does not apply. "
+                     "Use --method oracle.")
+        report["closed"] = closed_form(rank2, cert).value
+    if method in ("oracle", "both"):
+        report["oracle"] = oracle_minimize(
+            rank2, measure, OptimizerConfig(restarts=restarts, seed=seed)).value
 
     if method == "both":
         report["difference"] = abs(report["closed"] - report["oracle"])
@@ -220,8 +190,6 @@ def cmd_scan(classes, draws, seed, with_slocc, with_oracle, restarts, out):
         rows = scan_classes(mus, draws=draws, base_seed=seed,
                             with_slocc=with_slocc, with_oracle=with_oracle,
                             config=OptimizerConfig(restarts=restarts))
-    except OneRootError as exc:
-        _fail(_OTHER, str(exc))
     except ValueError as exc:
         _fail(_PARSE, str(exc))
 
@@ -272,14 +240,7 @@ def cmd_bloch_grid(state_file, measure_name, ntheta, nphi, out):
         _fail(_PARSE, "need --ntheta >= 2 and --nphi >= 1")
     measure = get_measure(measure_name)
     state = _as_rank_two(_load(state_file), state_file)
-    try:
-        cert = certify(state, measure)
-    except EntireRangeVanishes as exc:
-        _fail(_VANISHES, str(exc))
-    except _SHAPE_ERRORS as exc:
-        _fail(_SHAPE, str(exc))
-    except OneRootError as exc:
-        _fail(_OTHER, str(exc))
+    cert = certify(state, measure)
 
     lines = [f"# measure: {measure_name}"]
     if cert.one_root:

@@ -48,10 +48,6 @@ class Decomposition:
     states: tuple[PureState, ...]
     target: RankTwoState
 
-    @property
-    def nu(self) -> int:
-        return len(self.states)
-
     def reconstruction_error(self) -> float:
         """Trace distance between the ensemble average and the target."""
         acc = np.zeros_like(self.target.density().mat)
@@ -66,7 +62,6 @@ class OracleStats:
 
     restarts: int
     nu_values: tuple[int, ...]
-    start_gradient_norms: tuple[float, ...]
     final_gradient_norm: float
     best_nu: int
     decomposition: Decomposition | None
@@ -210,18 +205,10 @@ def minimize(fun, x0, **kwargs):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the multistart oracle; defaults match the CLI.
-
-    The defaults are tuned for cross-checking the closed form at ~1e-8:
-    looser line searches with many restarts beat a few deep ones, since the
-    landscape has plenty of equivalent minima.
-    """
+    """Knobs of the multistart oracle; defaults match the CLI."""
 
     restarts: int = 64
     nu_max: int = 4
-    step_tol: float = 1e-8
-    max_iters: int = 120
-    fd_step: float = 1e-6
     seed: int = 0
 
 
@@ -280,9 +267,11 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
 
     Restarts are spread round-robin over ensemble sizes nu = 2..nu_max.
     Each restart starts from Gaussian exponential coordinates and is refined
-    with Powell until the step falls below ``step_tol`` or ``max_iters``
-    direction sweeps pass. The finite-difference gradient norm is recorded
-    at every starting point and at the winner.
+    with Powell until the step falls below 1e-8 or 120 direction sweeps
+    pass. These settings are tuned for cross-checking the closed form at
+    ~1e-8: looser line searches with many restarts beat a few deep ones,
+    since the landscape has plenty of equivalent minima. The
+    finite-difference gradient norm is recorded at the winner.
 
     A rank-1 state short-circuits to its pure value (the only ensembles are
     trivial).
@@ -297,28 +286,25 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
     if state.eigenvalues()[1] < TOL.rank_deficient:
         e0 = PureState(state.basis_matrix() @ _eigvec_coords(state)[0], state.m)
         dec = Decomposition(np.array([1.0]), (e0,), state)
-        stats = OracleStats(0, (), (), 0.0, 1, dec)
+        stats = OracleStats(0, (), 0.0, 1, dec)
         return RoofResult(measure.value(e0), "oracle", oracle=stats)
 
     nus = list(range(2, cfg.nu_max + 1))
     objectives = {nu: decomposition_objective(state, measure, nu) for nu in nus}
     best_val, best_x, best_nu = np.inf, None, nus[0]
-    used_nus, start_grads = [], []
+    used_nus = []
     for i in range(cfg.restarts):
         nu = nus[i % len(nus)]
         f, dim = objectives[nu]
         x0 = rng.standard_normal(dim)
         used_nus.append(nu)
-        start_grads.append(fd_gradient_norm(f, x0, cfg.fd_step))
         res = minimize(f, x0, method="Powell",
-                       options={"xtol": cfg.step_tol, "ftol": 1e-11,
-                                "maxiter": cfg.max_iters})
+                       options={"xtol": 1e-8, "ftol": 1e-11, "maxiter": 120})
         if res.fun < best_val:
             best_val, best_x, best_nu = float(res.fun), res.x, nu
-    final_grad = fd_gradient_norm(objectives[best_nu][0], best_x, cfg.fd_step)
+    final_grad = fd_gradient_norm(objectives[best_nu][0], best_x)
     dec = _decomposition(state, _exp_rows(best_x, best_nu, _eigen_rows(state)))
-    stats = OracleStats(cfg.restarts, tuple(used_nus), tuple(start_grads),
-                        final_grad, best_nu, dec)
+    stats = OracleStats(cfg.restarts, tuple(used_nus), final_grad, best_nu, dec)
     return RoofResult(best_val, "oracle", oracle=stats)
 
 
@@ -339,10 +325,6 @@ class SphereGeometry:
     @property
     def n(self) -> int:
         return self.center.size - 1
-
-    @property
-    def barycenter(self) -> np.ndarray:
-        return self.weights_a @ self.points_a
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ class Tolerances:
     interp_rtol: float = 1e-10      # interpolation residual / max|c_j|
     coeff_floor: float = 1e-12      # coefficient significance / max|c_j|
     poly_floor: float = 1e-12       # max|c_j| below this means E vanishes on the span
-    cluster_rel: float = 1e-5       # chain tolerance = cluster_rel * (1 + max|root|)
     merge_model_rtol: float = 1e-7  # partition acceptance, coefficient residual
     recenter_radius: float = 5.0    # |root| beyond which certify re-gauges
     law_rtol: float = 1e-7          # distance-law residual / peak probe value

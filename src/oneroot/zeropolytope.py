@@ -134,25 +134,16 @@ def _chain_labels(roots: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _chain_clusters(roots: np.ndarray, tol: float) -> list[np.ndarray]:
-    labels = _chain_labels(roots, tol)
-    return [roots[labels == g] for g in range(int(labels.max()) + 1)]
-
-
-def _polish_center(coeffs: np.ndarray, z0: complex, mult: int,
-                   radius: float) -> complex:
+def _polish_center(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     """Newton-refine a multiplicity-``mult`` root seed on the (mult-1)-th
-    derivative, where that root is simple; revert to the seed on escape."""
+    derivative, where that root is simple. A step that escapes or leaves
+    the finite plane is not caught here: the rebuild check in
+    :func:`find_roots` rejects such a center."""
     d1 = npoly.polyder(coeffs, mult - 1)
     d2 = npoly.polyder(coeffs, mult)
     z = z0
     for _ in range(2):
-        den = npoly.polyval(z, d2)
-        if den == 0.0:
-            return z0
-        z = z - npoly.polyval(z, d1) / den
-    if not np.isfinite(z) or abs(z - z0) > radius:
-        return z0
+        z = z - npoly.polyval(z, d1) / npoly.polyval(z, d2)
     return complex(z)
 
 
@@ -179,8 +170,8 @@ def find_roots(poly: ZeroPolynomial) -> list[tuple[complex, int]]:
     clean (the eps^(1/m) cloud is centered), so the rebuild residual sits
     at the backward error of the coefficients for the true structure and
     at the cluster-separation scale for a wrong merge. If no partition
-    validates (simple roots of an ill-conditioned polynomial), the fixed
-    ``TOL.cluster_rel`` chaining is kept as the fallback.
+    validates (simple roots of an ill-conditioned polynomial), every
+    companion eigenvalue is reported as a simple root.
 
     Returns
     -------
@@ -212,7 +203,7 @@ def find_roots(poly: ZeroPolynomial) -> list[tuple[complex, int]]:
     roots = np.roots(c[deg::-1])
     s = 1.0 + float(np.abs(roots).max())
     tail = c[: deg + 1]
-    out = None
+    out = [(complex(z), 1) for z in roots]
     seen_counts = set()
     for exp in range(2, 10):
         tol = s * 10.0 ** (-exp)
@@ -227,18 +218,13 @@ def find_roots(poly: ZeroPolynomial) -> list[tuple[complex, int]]:
             grp = roots[labels == g]
             z0 = complex(grp.mean())
             if grp.size >= 2:
-                diam = float(np.abs(grp[:, None] - grp[None, :]).max())
-                z0 = _polish_center(tail, z0, int(grp.size),
-                                    4.0 * (tol + diam))
+                z0 = _polish_center(tail, z0, int(grp.size))
             centers.append((z0, int(grp.size)))
         rep = [z for z, m in centers for _ in range(m)]
         model = npoly.polyfromroots(rep) * c[deg]
         if float(np.abs(model - tail).max()) <= TOL.merge_model_rtol * scale:
             out = centers
             break
-    if out is None:
-        clusters = _chain_clusters(roots, TOL.cluster_rel * s)
-        out = [(complex(cl.mean()), int(cl.size)) for cl in clusters]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 

@@ -6,7 +6,6 @@ stated inline next to the assertions. The slow entry is criterion 3 (the
 brute-force oracle at full restart count); everything else is seconds.
 """
 
-import json
 import time
 
 import numpy as np

@@ -19,7 +19,7 @@ from oneroot.families import (
     two_qubit_state,
 )
 from oneroot.measures import get_measure
-from oneroot.qstate import bloch_vector, ket, make_rank_two, pure_state
+from oneroot.qstate import bloch_vector, density_matrix, ket, make_rank_two, pure_state
 from oneroot.stateio import load_state, save_state
 from oneroot.zeropolytope import certify
 
@@ -173,6 +173,32 @@ class TestCertify:
         res = runner.invoke(main, ["certify", pure_file, "-M", "concurrence"])
         assert res.exit_code == 3
 
+    def test_density_matrix_input_matches_span(self, runner, one_root_file, tmp_path):
+        # the same state saved as a matrix comes back eigen-decomposed, in
+        # another gauge; the verdict and the closed form must not move
+        path, value = one_root_file
+        mat_path = str(tmp_path / "one_root_mat.json")
+        save_state(load_state(path).density(), mat_path)
+        certs, roofs = [], []
+        for p in (path, mat_path):
+            res = runner.invoke(main, ["certify", p, "-M", "concurrence"])
+            assert res.exit_code == 0
+            certs.append(json.loads(res.stdout))
+            res = runner.invoke(main, ["roof", p, "-M", "concurrence"])
+            assert res.exit_code == 0
+            roofs.append(json.loads(res.stdout)["value"])
+        assert certs[0]["one_root"] is certs[1]["one_root"] is True
+        assert certs[0]["n_root_clusters"] == certs[1]["n_root_clusters"] == 1
+        assert abs(roofs[0] - value) < 1e-10 and abs(roofs[1] - roofs[0]) < 1e-12
+
+    def test_rank_three_matrix_rejected(self, runner, tmp_path):
+        path = str(tmp_path / "rank3.json")
+        save_state(density_matrix(np.diag([0.5, 0.3, 0.2, 0.0])), path)
+        for cmd in ("certify", "roof"):
+            res = runner.invoke(main, [cmd, path, "-M", "concurrence"])
+            assert res.exit_code == 3
+            assert "eigenvalue" in res.stderr
+
 
 class TestRoof:
 
@@ -275,6 +301,11 @@ class TestScan:
         assert bad == [["7", "4", "827402", "-1", "false", "", "", ""]]
         assert "seed=827402" in res.stderr
 
+    def test_unknown_class_exits_five(self, runner):
+        res = runner.invoke(main, ["scan", "--classes", "6", "--draws", "1"])
+        assert res.exit_code == 5
+        assert "class 6" in res.stderr
+
     def test_bad_classes_string(self, runner):
         res = runner.invoke(main, ["scan", "--classes", "4,x"])
         assert res.exit_code == 2
@@ -345,6 +376,12 @@ class TestBlochGrid:
         assert res.exit_code == 0
         assert "eigenbasis" in res.stdout
         assert "2 root clusters" in res.stdout
+
+    def test_vanishing_span_exits_four(self, runner, product_span_file):
+        res = runner.invoke(main, ["bloch-grid", product_span_file,
+                                   "-M", "concurrence"])
+        assert res.exit_code == 4
+        assert "vanishes" in res.stderr
 
     def test_grid_bounds_checked(self, runner, one_root_file):
         path, _ = one_root_file

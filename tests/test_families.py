@@ -8,7 +8,6 @@ import pytest
 from oneroot.convexroof import (
     OptimizerConfig,
     closed_form,
-    oracle_minimize,
     wootters_mixed_concurrence,
 )
 from oneroot.errors import (
@@ -41,7 +40,6 @@ from oneroot.qstate import (
     bloch_vector,
     density_matrix,
     partial_trace,
-    pure_state,
 )
 from oneroot.tolerances import TOL
 from oneroot.zeropolytope import certify

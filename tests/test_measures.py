@@ -21,19 +21,17 @@ from oneroot.measures import (
 )
 from oneroot.qstate import ket, pure_state
 
-RNG = np.random.default_rng(23)
-
 BELL = pure_state([1, 0, 0, 1] / np.sqrt(2))
 GHZ = pure_state([1, 0, 0, 0, 0, 0, 0, 1] / np.sqrt(2))
 W = pure_state(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))
 
 
-def random_state(m, rng=RNG):
+def random_state(m, rng):
     v = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
     return pure_state(v / np.linalg.norm(v))
 
 
-def random_sl2(rng=RNG):
+def random_sl2(rng):
     while True:
         z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         d = np.linalg.det(z)
@@ -58,8 +56,9 @@ class TestConcurrence:
         assert abs(concurrence(psi) - np.sin(2 * x)) < 1e-15
 
     def test_range_on_random_states(self):
+        rng = np.random.default_rng(6)
         for _ in range(200):
-            c = concurrence(random_state(2))
+            c = concurrence(random_state(2, rng))
             assert -1e-12 <= c <= 1.0 + 1e-12
 
     def test_wrong_qubit_count(self):
@@ -87,13 +86,15 @@ class TestThreeTangle:
             assert abs(three_tangle(psi) - np.sin(2 * x) ** 2) < 1e-14
 
     def test_sqrt_consistency(self):
+        rng = np.random.default_rng(7)
         for _ in range(50):
-            psi = random_state(3)
+            psi = random_state(3, rng)
             assert abs(sqrt_three_tangle(psi) ** 2 - three_tangle(psi)) < 1e-12
 
     def test_range_on_random_states(self):
+        rng = np.random.default_rng(1)
         for _ in range(200):
-            t = three_tangle(random_state(3))
+            t = three_tangle(random_state(3, rng))
             assert -1e-12 <= t <= 1.0 + 1e-12
 
 
@@ -103,10 +104,11 @@ class TestHomogeneity:
         assert abs(CONCURRENCE.unnormalized(3.0 * BELL.amps) - 9.0) < 1e-14
 
     def test_degree_two_both_measures(self):
+        rng = np.random.default_rng(2)
         for meas, m in ((CONCURRENCE, 2), (SQRT_THREE_TANGLE, 3)):
             for _ in range(100):
-                v = RNG.standard_normal(2 ** m) + 1j * RNG.standard_normal(2 ** m)
-                k = np.exp(RNG.uniform(-1.5, 1.5))
+                v = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+                k = np.exp(rng.uniform(-1.5, 1.5))
                 e1 = meas.unnormalized(v)
                 e2 = meas.unnormalized(k * v)
                 assert abs(e2 - k ** 2 * e1) <= 1e-12 * max(1.0, e2)
@@ -139,27 +141,30 @@ class TestSlocc:
     def test_invariance_of_underlying_polynomial(self):
         # P(L psi) = P(psi) exactly for det-1 factors; any index slip in the
         # hyperdeterminant monomials would break this
+        rng = np.random.default_rng(3)
         for meas, m in ((CONCURRENCE, 2), (SQRT_THREE_TANGLE, 3)):
             for _ in range(50):
-                psi = random_state(m)
-                op = slocc_operator([random_sl2() for _ in range(m)])
+                psi = random_state(m, rng)
+                op = slocc_operator([random_sl2(rng) for _ in range(m)])
                 p0 = meas.poly(psi.amps)
                 p1 = meas.poly(apply_slocc(op, psi))
                 assert abs(p1 - p0) < 1e-10 * max(1.0, abs(p0))
 
     def test_zero_set_preserved_with_scale(self):
+        rng = np.random.default_rng(4)
         for _ in range(20):
-            op = slocc_operator([random_sl2(), random_sl2()], kappa=RNG.uniform(0.5, 2))
+            op = slocc_operator([random_sl2(rng), random_sl2(rng)], kappa=rng.uniform(0.5, 2))
             v = apply_slocc(op, ket("01"))
             assert CONCURRENCE.unnormalized(v) < 1e-12
 
     def test_local_unitary_invariance(self):
         # det-1 unitaries are SLOCC with kappa = 1 and preserve E exactly
+        rng = np.random.default_rng(5)
         for _ in range(20):
-            q, _ = np.linalg.qr(RNG.standard_normal((2, 2))
-                                + 1j * RNG.standard_normal((2, 2)))
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                                + 1j * rng.standard_normal((2, 2)))
             u = q / np.sqrt(np.linalg.det(q))
-            psi = random_state(3)
+            psi = random_state(3, rng)
             op = slocc_operator([u, np.eye(2), np.eye(2)])
             w = apply_slocc(op, psi)
             assert abs(SQRT_THREE_TANGLE.unnormalized(w)

@@ -24,15 +24,8 @@ from oneroot.qstate import (
 )
 from oneroot.tolerances import TOL
 
-RNG = np.random.default_rng(11)
 
-
-def random_pure(m, rng=RNG):
-    v = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
-    return pure_state(v / np.linalg.norm(v))
-
-
-def random_rank_two(m, rng=RNG, rmax=1.0):
+def random_rank_two(m, rng, rmax=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((2 ** m, 2))
                         + 1j * rng.standard_normal((2 ** m, 2)))
     b = bloch_vector(rng.uniform(0, rmax), rng.uniform(0, np.pi),
@@ -104,9 +97,10 @@ class TestBloch:
         assert abs(bloch_vector(0.5, 0.1, 2 * np.pi + 0.3).phi - 0.3) < 1e-12
 
     def test_cartesian_round_trip(self):
+        rng = np.random.default_rng(1)
         for _ in range(50):
-            b = bloch_vector(RNG.uniform(0, 1), RNG.uniform(0, np.pi),
-                             RNG.uniform(0, 2 * np.pi))
+            b = bloch_vector(rng.uniform(0, 1), rng.uniform(0, np.pi),
+                             rng.uniform(0, 2 * np.pi))
             b2 = bloch_from_cartesian(b.cartesian())
             assert np.allclose(b.cartesian(), b2.cartesian(), atol=1e-12)
 
@@ -129,7 +123,7 @@ class TestMakeRankTwo:
         assert trace_distance(s.density(), bell.density()) < 1e-14
 
     def test_eigenvalues_from_radius(self):
-        s = random_rank_two(3)
+        s = random_rank_two(3, np.random.default_rng(2))
         l0, l1 = s.eigenvalues()
         w = np.linalg.eigvalsh(s.density().mat)[::-1]
         assert abs(w[0] - l0) < 1e-12 and abs(w[1] - l1) < 1e-12
@@ -159,16 +153,18 @@ class TestEigenDecompose:
 
     def test_round_trip_density(self):
         # matrix -> RankTwoState -> matrix is the identity within 1e-10
+        rng = np.random.default_rng(3)
         for m in (2, 3, 4):
             for _ in range(20):
-                s = random_rank_two(m)
+                s = random_rank_two(m, rng)
                 rho = s.density()
                 back = eigen_decompose_rank2(rho).density()
                 assert trace_distance(rho, back) < 1e-10
 
     def test_phase_convention(self):
+        rng = np.random.default_rng(4)
         for _ in range(20):
-            s = eigen_decompose_rank2(random_rank_two(2, rmax=0.9).density())
+            s = eigen_decompose_rank2(random_rank_two(2, rng, rmax=0.9).density())
             for e in (s.phi0, s.phi1):
                 lead = e.amps[np.flatnonzero(np.abs(e.amps) > TOL.phase_cut)[0]]
                 assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -197,9 +193,10 @@ class TestPartialTrace:
             assert np.allclose(red.mat, np.eye(2) / 2, atol=1e-14)
 
     def test_trace_preserved_random(self):
+        rng = np.random.default_rng(5)
         for _ in range(10):
-            s = random_rank_two(4)
-            red = partial_trace(s.density(), int(RNG.integers(1, 5)))
+            s = random_rank_two(4, rng)
+            red = partial_trace(s.density(), int(rng.integers(1, 5)))
             assert abs(np.trace(red.mat) - 1.0) < 1e-12
             assert red.m == 3
 
@@ -209,14 +206,15 @@ class TestTraceDistance:
         assert abs(trace_distance(ket("00").density(), ket("11").density()) - 1.0) < 1e-14
 
     def test_triangle_inequality(self):
+        rng = np.random.default_rng(6)
         for _ in range(20):
-            a, b, c = (random_rank_two(2).density() for _ in range(3))
+            a, b, c = (random_rank_two(2, rng).density() for _ in range(3))
             assert trace_distance(a, c) <= (trace_distance(a, b)
                                             + trace_distance(b, c) + 1e-12)
 
     def test_bloch_chord_on_shared_span(self):
         # for two states on the same 2-dim span, D = ||r1 - r2|| / 2
-        phi0, phi1 = ket("000"), random_orthogonal_partner()
+        phi0, phi1 = ket("000"), random_orthogonal_partner(np.random.default_rng(7))
         b1 = bloch_vector(0.7, 1.1, 0.4)
         b2 = bloch_vector(0.2, 2.0, 5.1)
         s1 = make_rank_two(phi0, phi1, b1)
@@ -225,7 +223,7 @@ class TestTraceDistance:
         assert abs(d - np.linalg.norm(b1.cartesian() - b2.cartesian()) / 2) < 1e-12
 
 
-def random_orthogonal_partner():
-    v = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
+def random_orthogonal_partner(rng):
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     v[0] = 0.0  # orthogonal to |000>
     return pure_state(v / np.linalg.norm(v))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from oneroot.convexroof import closed_form
 from oneroot.errors import EntireRangeVanishes, ZeroPolynomialIdentically
@@ -17,14 +18,13 @@ from oneroot.qstate import (
 from oneroot.tolerances import TOL
 from oneroot.zeropolytope import (
     ZeroPolynomial,
+    _polish_center,
     build_polynomial,
     certify,
     find_roots,
     pole_safe_basis,
     root_direction,
 )
-
-RNG = np.random.default_rng(37)
 
 
 def two_qubit_family_state(gamma, delta, r, theta, phi):
@@ -43,7 +43,7 @@ def three_qubit_family_state(a, b, c, g, t1, t2, r, theta, phi):
                          bloch_vector(r, theta, phi))
 
 
-def random_rank_two(m, rng=RNG):
+def random_rank_two(m, rng):
     q, _ = np.linalg.qr(rng.standard_normal((2 ** m, 2))
                         + 1j * rng.standard_normal((2 ** m, 2)))
     b = bloch_vector(rng.uniform(0, 1), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
@@ -75,9 +75,10 @@ class TestBuildPolynomial:
 
     def test_endpoint_coefficients_are_pole_values(self):
         # c_0 = P(phi0) and c_D = P(phi1) exactly, for both measures
+        rng = np.random.default_rng(1)
         for meas, m in ((CONCURRENCE, 2), (SQRT_THREE_TANGLE, 3)):
             for _ in range(10):
-                st = random_rank_two(m)
+                st = random_rank_two(m, rng)
                 c = build_polynomial(st, meas).coeffs
                 assert abs(c[0] - meas.poly(st.phi0.amps)) < 1e-12
                 assert abs(c[-1] - meas.poly(st.phi1.amps)) < 1e-12
@@ -91,11 +92,12 @@ class TestBuildPolynomial:
 
     def test_interpolation_soundness_random(self):
         # polynomial evaluation agrees with direct amplitude evaluation
+        rng = np.random.default_rng(2)
         for meas, m in ((CONCURRENCE, 2), (SQRT_THREE_TANGLE, 3)):
             for _ in range(20):
-                st = random_rank_two(m)
+                st = random_rank_two(m, rng)
                 poly = build_polynomial(st, meas)
-                w = RNG.standard_normal(16) + 1j * RNG.standard_normal(16)
+                w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
                 direct = meas.poly(st.phi0.amps[None, :]
                                    + w[:, None] * st.phi1.amps[None, :])
                 scale = np.abs(direct).max()
@@ -104,6 +106,14 @@ class TestBuildPolynomial:
 
 def poly_with_coeffs(coeffs, measure=SQRT_THREE_TANGLE):
     return ZeroPolynomial(np.asarray(coeffs, dtype=complex), measure)
+
+
+def spread_roots(rng, k):
+    """k roots in the closed unit disk, pairwise at least 0.1 apart."""
+    while True:
+        z = np.sqrt(rng.uniform(0, 1, k)) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
+        if k == 1 or np.abs(z[:, None] - z[None, :])[np.triu_indices(k, 1)].min() >= 0.1:
+            return z
 
 
 class TestFindRoots:
@@ -127,6 +137,44 @@ class TestFindRoots:
         roots = find_roots(poly_with_coeffs([4.0, 4.0, -3.0, -2.0, 1.0]))
         assert [(round(z.real, 6), mult) for z, mult in roots] == [(-1.0, 2), (2.0, 2)]
 
+    @pytest.mark.parametrize("pattern", [(2,), (1, 1), (3, 1), (2, 1, 1), (2, 2),
+                                         (1, 1, 1, 1)])
+    def test_multiplicity_patterns(self, pattern):
+        # each coefficient moved by up to 1e-13 scatters a root of
+        # multiplicity m by ~1e-13^(1/m); the ladder must still recover
+        # every multiplicity and locate every root
+        rng = np.random.default_rng(pattern)
+        for _ in range(20):
+            z = spread_roots(rng, len(pattern))
+            c = npoly.polyfromroots([r for r, m in zip(z, pattern) for _ in range(m)])
+            noise = rng.uniform(0, 1e-13, c.size) * np.exp(2j * np.pi * rng.uniform(0, 1, c.size))
+            roots = find_roots(poly_with_coeffs(c + noise))
+            assert sorted(m for _, m in roots) == sorted(pattern)
+            for r, m in zip(z, pattern):
+                got, mult = min(roots, key=lambda t: abs(t[0] - r))
+                assert mult == m and abs(got - r) < 1e-8
+
+    def test_close_pair_stays_split(self):
+        # 0 and 0.0014 share a group at the first two ladder tolerances; as a
+        # double root their rebuild misses by ~5e-7, so both partitions fail
+        # and the next decade splits them
+        z = np.array([-0.5, 0.0, 0.0014, 0.5])
+        roots = find_roots(poly_with_coeffs(npoly.polyfromroots(z)))
+        assert [m for _, m in roots] == [1, 1, 1, 1]
+        assert np.abs(np.array([r for r, _ in roots]) - z).max() < 1e-12
+
+    def test_escaping_newton_step_is_rejected(self):
+        # the first ladder partition chains -0.01, 0 and 0.01; Newton on p''
+        # from their centroid passes near the zero of p''' and lands ~0.18
+        # away, so that center fails the rebuild and the roots stay simple
+        z = np.array([-0.01, 0.0, 0.01, 0.0115j])
+        c = npoly.polyfromroots(z)
+        assert abs(_polish_center(c, 0j, 3)) > 0.1
+        roots = find_roots(poly_with_coeffs(c))
+        assert [m for _, m in roots] == [1, 1, 1, 1]
+        got = np.sort_complex(np.array([r for r, _ in roots]))
+        assert np.abs(got - np.sort_complex(z)).max() < 1e-12
+
     def test_identically_zero_raises(self):
         with pytest.raises(ZeroPolynomialIdentically):
             find_roots(poly_with_coeffs([1e-14, 0.0, 1e-15]))
@@ -135,8 +183,9 @@ class TestFindRoots:
         assert find_roots(poly_with_coeffs([1.0, 0.0, 0.0], CONCURRENCE)) == []
 
     def test_residual_at_reported_roots(self):
+        rng = np.random.default_rng(3)
         for _ in range(20):
-            st = random_rank_two(2)
+            st = random_rank_two(2, rng)
             poly = build_polynomial(st, CONCURRENCE)
             scale = np.abs(poly.coeffs).max()
             for z, _mult in find_roots(poly):
@@ -222,9 +271,10 @@ class TestCertify:
 
     def test_random_spans_report_two_clusters(self):
         # a generic rank-2 two-qubit span has two distinct product states
+        rng = np.random.default_rng(4)
         hits = 0
         for _ in range(20):
-            cert = certify(random_rank_two(2), CONCURRENCE)
+            cert = certify(random_rank_two(2, rng), CONCURRENCE)
             hits += cert.n_clusters
             assert not cert.one_root
         assert hits == 40

@@ -65,6 +65,8 @@ class OracleStats:
     final_gradient_norm: float
     best_nu: int
     decomposition: Decomposition | None
+    restart_minima: tuple[float, ...]  # each restart's minimum, in restart order
+    nfev: int  # objective evaluations summed over the restarts' searches
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,35 @@ class OptimizerConfig:
     seed: int = 0
 
 
-def _exp_rows(x: np.ndarray, nu: int, w0: np.ndarray) -> np.ndarray:
-    """U[:, :2] @ w0 for U = exp(i(A + A^dag)), A = re + i im from 2 nu^2 reals:
-    only the first two columns of U ever touch the span."""
-    n2 = nu * nu
-    a = x[:n2].reshape(nu, nu) + 1j * x[n2:].reshape(nu, nu)
-    w, q = np.linalg.eigh(a + a.conj().T)
+def _horizontal_map(nu: int) -> np.ndarray:
+    """The real linear map from x in R^(4 nu - 4) to the Hermitian generator
+    H = [[T, B^dag], [B, 0]]: T is a 2 x 2 Hermitian block (x[:4]), B a
+    (nu - 2) x 2 complex block (the rest, real and imaginary parts in pairs).
+
+    It is the (2 nu^2, 4 nu - 4) matrix taking x to the interleaved real and
+    imaginary parts of H, shaped (nu, 2 nu, 4 nu - 4) so that ``(map @ x)``
+    views as the complex nu x nu H.
+    """
+    pairs = [(0, 0), (1, 1), (0, 1)] + [(k, j) for k in range(2, nu) for j in range(2)]
+    cols = []
+    for i, j in pairs:
+        for phase in ((1.0,) if i == j else (1.0, 1j)):
+            g = np.zeros((nu, nu), dtype=complex)
+            g[i, j] = phase
+            g[j, i] = np.conj(phase)
+            cols.append(g.view(float))
+    return np.stack(cols, axis=-1)
+
+
+def _exp_rows(x: np.ndarray, hmap: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """exp(iH)[:, :2] @ w0 for the generator H = hmap @ x of ``_horizontal_map``.
+
+    The first two columns of exp(iH) are a nu x 2 isometry V, and the rows
+    are the ensemble V @ w0. H spans the complement of the generators that
+    fix those two columns, so every isometry is reached and no coordinate of
+    x is wasted; x = 0 gives w0 padded with zero rows.
+    """
+    w, q = np.linalg.eigh((hmap @ x).view(complex))
     return (q * np.exp(1j * w)) @ (q[:2, :].conj().T @ w0)
 
 
@@ -226,28 +251,25 @@ def decomposition_objective(state: RankTwoState, measure: MeasureDescriptor,
     """The roof objective on size-nu ensembles, in exponential coordinates.
 
     Returns (f, dim) with f(x) = sum_i E(psi~_i(x)) for x in R^dim,
-    dim = 2 nu^2. Subnormalized vectors keep the objective smooth; by
-    homogeneity the sum equals sum_i p_i E(psi_i). Each call costs one
-    nu x nu eigh plus O(nu) arithmetic; the optimizer spends millions of
-    calls here, so P(a phi0 + b phi1) = sum_j c_j a^(D-j) b^j is spelled
-    out for the two measure degrees, 2 and 4.
+    dim = 4 nu - 4, the real dimension of the nu x 2 isometries; the rows
+    psi~_i(x) are ``_exp_rows`` of x. Subnormalized vectors keep the
+    objective smooth; by homogeneity the sum equals sum_i p_i E(psi_i). Each
+    call costs one nu x nu eigh plus O(nu D) arithmetic, with
+    P(a phi0 + b phi1) = sum_j c_j a^(D-j) b^j evaluated as one product of
+    monomials for either measure degree D.
     """
     w0 = _eigen_rows(state)
+    hmap = _horizontal_map(nu)
     c = build_polynomial(state, measure).coeffs
+    pb = np.arange(c.size)
+    pa = pb[::-1]
     mag = measure.mag
 
     def f(x: np.ndarray) -> float:
-        ab = _exp_rows(x, nu, w0)
-        av, bv = ab[:, 0], ab[:, 1]
-        if c.size == 3:
-            p = (c[0] * av + c[1] * bv) * av + c[2] * bv * bv
-        else:
-            a2, b2, axb = av * av, bv * bv, av * bv
-            p = (c[0] * a2 * a2 + c[1] * a2 * axb + c[2] * a2 * b2
-                 + c[3] * axb * b2 + c[4] * b2 * b2)
-        return float(mag(p).sum())
+        ab = _exp_rows(x, hmap, w0)
+        return float(mag((ab[:, :1] ** pa * ab[:, 1:] ** pb) @ c).sum())
 
-    return f, 2 * nu * nu
+    return f, 4 * nu - 4
 
 
 def fd_gradient_norm(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -266,12 +288,13 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
     """Brute-force roof: multistart derivative-free minimization.
 
     Restarts are spread round-robin over ensemble sizes nu = 2..nu_max.
-    Each restart starts from Gaussian exponential coordinates and is refined
-    with Powell until the step falls below 1e-8 or 120 direction sweeps
-    pass. These settings are tuned for cross-checking the closed form at
+    Each restart starts from Gaussian coordinates x in R^(4 nu - 4) (see
+    ``decomposition_objective``) and is refined with Powell until the step
+    falls below 1e-8 or 120 direction sweeps pass. These settings are tuned for cross-checking the closed form at
     ~1e-8: looser line searches with many restarts beat a few deep ones,
     since the landscape has plenty of equivalent minima. The
-    finite-difference gradient norm is recorded at the winner.
+    finite-difference gradient norm is recorded at the winner, and every
+    restart's minimum and the summed evaluation count go into the stats.
 
     A rank-1 state short-circuits to its pure value (the only ensembles are
     trivial).
@@ -286,13 +309,13 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
     if state.eigenvalues()[1] < TOL.rank_deficient:
         e0 = PureState(state.basis_matrix() @ _eigvec_coords(state)[0], state.m)
         dec = Decomposition(np.array([1.0]), (e0,), state)
-        stats = OracleStats(0, (), 0.0, 1, dec)
+        stats = OracleStats(0, (), 0.0, 1, dec, (), 0)
         return RoofResult(measure.value(e0), "oracle", oracle=stats)
 
     nus = list(range(2, cfg.nu_max + 1))
     objectives = {nu: decomposition_objective(state, measure, nu) for nu in nus}
     best_val, best_x, best_nu = np.inf, None, nus[0]
-    used_nus = []
+    used_nus, minima, nfev = [], [], 0
     for i in range(cfg.restarts):
         nu = nus[i % len(nus)]
         f, dim = objectives[nu]
@@ -300,11 +323,14 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
         used_nus.append(nu)
         res = minimize(f, x0, method="Powell",
                        options={"xtol": 1e-8, "ftol": 1e-11, "maxiter": 120})
+        minima.append(float(res.fun))
+        nfev += int(res.nfev)
         if res.fun < best_val:
             best_val, best_x, best_nu = float(res.fun), res.x, nu
     final_grad = fd_gradient_norm(objectives[best_nu][0], best_x)
-    dec = _decomposition(state, _exp_rows(best_x, best_nu, _eigen_rows(state)))
-    stats = OracleStats(cfg.restarts, tuple(used_nus), final_grad, best_nu, dec)
+    rows = _exp_rows(best_x, _horizontal_map(best_nu), _eigen_rows(state))
+    stats = OracleStats(cfg.restarts, tuple(used_nus), final_grad, best_nu,
+                        _decomposition(state, rows), tuple(minima), nfev)
     return RoofResult(best_val, "oracle", oracle=stats)
 
 

@@ -5,6 +5,10 @@ import pytest
 
 from oneroot.convexroof import (
     OptimizerConfig,
+    _decomposition,
+    _eigen_rows,
+    _exp_rows,
+    _horizontal_map,
     average_over_decomposition,
     closed_form,
     decomposition_objective,
@@ -217,10 +221,21 @@ class TestOracle:
         assert dec.reconstruction_error() < 1e-10
         assert abs(average_over_decomposition(dec, SQRT_THREE_TANGLE) - res.value) < 1e-10
 
+    def test_restart_minima_and_nfev(self):
+        st = bell_diagonal_state(0.6, 0.7, 0.2)
+        res = oracle_minimize(st, CONCURRENCE, OptimizerConfig(restarts=5, nu_max=3, seed=5))
+        stats = res.oracle
+        assert len(stats.restart_minima) == stats.restarts == 5
+        assert min(stats.restart_minima) == res.value
+        # each Powell search evaluates the objective at least once per coordinate
+        assert stats.nfev >= sum(4 * nu - 4 for nu in stats.nu_values)
+
     def test_rank_one_short_circuit(self):
         st = two_qubit_family_state(1.1, 0.2, 1.0, 0.0, 0.0)
         res = oracle_minimize(st, CONCURRENCE)
         assert res.oracle.restarts == 0
+        assert res.oracle.restart_minima == ()
+        assert res.oracle.nfev == 0
         assert abs(res.value - wootters_mixed_concurrence(st.density())) < 1e-12
 
     def test_three_qubit_oracle_agrees_with_closed_form(self):
@@ -238,12 +253,39 @@ class TestObjective:
         st = two_qubit_family_state(0.9, 0.3, 0.4, 0.9, 0.5)
         cf = closed_form(st, certify(st, CONCURRENCE)).value
         f, dim = decomposition_objective(st, CONCURRENCE, 3)
-        assert dim == 18
+        assert dim == 8
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.standard_normal(dim)
             assert abs(f(x) - cf) < 1e-12
             assert fd_gradient_norm(f, x) < 1e-8
+
+    @pytest.mark.parametrize("nu", [2, 3, 4, 5])
+    def test_isometry_coordinates(self, nu):
+        # x in R^(4 nu - 4) covers the nu x 2 isometries without a flat
+        # coordinate: the rows' Jacobian has full column rank
+        rng = np.random.default_rng(40 + nu)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        st = make_rank_two(pure_state(q[:, 0]), pure_state(q[:, 1]),
+                           bloch_vector(0.6, 1.2, 0.5))
+        _, dim = decomposition_objective(st, CONCURRENCE, nu)
+        assert dim == 4 * nu - 4
+        hmap, w0 = _horizontal_map(nu), _eigen_rows(st)
+        assert hmap.shape == (nu, 2 * nu, dim)
+        x0_rows = _exp_rows(np.zeros(dim), hmap, w0)
+        assert np.array_equal(x0_rows[:2], w0) and not x0_rows[2:].any()
+        step = 1e-6
+        for _ in range(5):
+            x = rng.standard_normal(dim)
+            rows = _exp_rows(x, hmap, w0)
+            assert _decomposition(st, rows).reconstruction_error() < 1e-12
+            jac = np.empty((2 * rows.size, dim))
+            for i in range(dim):
+                e = np.zeros(dim)
+                e[i] = step
+                d = (_exp_rows(x + e, hmap, w0) - _exp_rows(x - e, hmap, w0)).ravel()
+                jac[:, i] = np.concatenate([d.real, d.imag]) / (2.0 * step)
+            assert np.linalg.matrix_rank(jac, tol=1e-6) == dim
 
     def test_gradient_nonzero_off_one_root(self):
         st = bell_diagonal_state(0.6)

@@ -124,7 +124,7 @@ def cmd_certify(state_file, measure_name):
 @_measure_option
 @click.option("--method", default="closed", show_default=True,
               type=click.Choice(["closed", "oracle", "both"]))
-@click.option("--restarts", default=64, show_default=True,
+@click.option("--restarts", default=64, show_default=True, type=click.IntRange(min=1),
               help="Multistart count for the oracle.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the oracle restarts.")
@@ -176,7 +176,7 @@ def cmd_roof(state_file, measure_name, method, restarts, seed):
                    "operator before tracing.")
 @click.option("--with-oracle", is_flag=True,
               help="Also run the brute-force roof per row (slow).")
-@click.option("--restarts", default=16, show_default=True,
+@click.option("--restarts", default=16, show_default=True, type=click.IntRange(min=1),
               help="Oracle restarts when --with-oracle is set.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write CSV here instead of stdout.")

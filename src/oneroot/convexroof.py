@@ -22,6 +22,8 @@ the sets is equidistant from z.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +69,7 @@ class OracleStats:
     decomposition: Decomposition | None
     restart_minima: tuple[float, ...]  # each restart's minimum, in restart order
     nfev: int  # objective evaluations summed over the restarts' searches
+    seconds: float  # wall time of the oracle run
 
 
 @dataclass(frozen=True)
@@ -213,63 +216,89 @@ class OptimizerConfig:
     nu_max: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts = {self.restarts}; the oracle needs at least one")
+        if self.nu_max < 2:
+            raise ValueError(f"nu_max = {self.nu_max}; ensembles need at least two members")
 
-def _horizontal_map(nu: int) -> np.ndarray:
-    """The real linear map from x in R^(4 nu - 4) to the Hermitian generator
-    H = [[T, B^dag], [B, 0]]: T is a 2 x 2 Hermitian block (x[:4]), B a
-    (nu - 2) x 2 complex block (the rest, real and imaginary parts in pairs).
 
-    It is the (2 nu^2, 4 nu - 4) matrix taking x to the interleaved real and
-    imaginary parts of H, shaped (nu, 2 nu, 4 nu - 4) so that ``(map @ x)``
-    views as the complex nu x nu H.
+def _sphere(angles) -> list[float]:
+    """The unit vector of R^(n+1) with hyperspherical angles ``angles`` (n of
+    them): y_k = sin(x_1) ... sin(x_(k-1)) cos(x_k), the last entry all sines;
+    zero angles give the first basis vector."""
+    out, r = [], 1.0
+    for ang in angles:
+        out.append(r * math.cos(ang))
+        r *= math.sin(ang)
+    out.append(r)
+    return out
+
+
+def _chart(x: list[float], nu: int) -> tuple[list[float], list[complex]]:
+    """The columns (v1, v2) of the nu x 2 isometry with phase-fixed coordinates
+    x in R^(3 nu - 4), as Python lists.
+
+    A phase on any row leaves the roof objective unchanged, so the first
+    column is taken real: v1 = (cos a, sin a t) with a = x[0] and t the unit
+    vector of the angles x[1:nu-1]. The second column is v2 = R [0; u] with u
+    the unit vector of C^(nu-1) whose real and imaginary parts, in pairs, have
+    the 2 nu - 3 angles x[nu-1:], and R the real rotation by a in the plane of
+    e1 and [0; t], which takes e1 to v1 and so e1's complement to v1's. With
+    p = t . u that is v2 = (-sin a p, u - (1 - cos a) p t), and 1 - cos a is
+    taken as 2 sin^2(a/2) so that v1 near e1 does not cancel. x = 0 gives
+    (e1, e2); every isometry is reached up to row phases.
     """
-    pairs = [(0, 0), (1, 1), (0, 1)] + [(k, j) for k in range(2, nu) for j in range(2)]
-    cols = []
-    for i, j in pairs:
-        for phase in ((1.0,) if i == j else (1.0, 1j)):
-            g = np.zeros((nu, nu), dtype=complex)
-            g[i, j] = phase
-            g[j, i] = np.conj(phase)
-            cols.append(g.view(float))
-    return np.stack(cols, axis=-1)
+    a = x[0]
+    ca, sa, h = math.cos(a), math.sin(a), 2.0 * math.sin(0.5 * a) ** 2
+    t = _sphere(x[1:nu - 1])
+    y = _sphere(x[nu - 1:])
+    u = [complex(y[k], y[k + 1]) for k in range(0, 2 * nu - 2, 2)]
+    p = sum(tk * uk for tk, uk in zip(t, u))
+    v1 = [ca] + [sa * tk for tk in t]
+    v2 = [-sa * p] + [uk - h * p * tk for tk, uk in zip(t, u)]
+    return v1, v2
 
 
-def _exp_rows(x: np.ndarray, hmap: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """exp(iH)[:, :2] @ w0 for the generator H = hmap @ x of ``_horizontal_map``.
-
-    The first two columns of exp(iH) are a nu x 2 isometry V, and the rows
-    are the ensemble V @ w0. H spans the complement of the generators that
-    fix those two columns, so every isometry is reached and no coordinate of
-    x is wasted; x = 0 gives w0 padded with zero rows.
-    """
-    w, q = np.linalg.eigh((hmap @ x).view(complex))
-    return (q * np.exp(1j * w)) @ (q[:2, :].conj().T @ w0)
+def _chart_rows(x: np.ndarray, nu: int, w0: np.ndarray) -> np.ndarray:
+    """The ensemble V w0 for the isometry V of ``_chart`` at x, one row per member."""
+    v1, v2 = _chart(x.tolist(), nu)
+    return np.outer(v1, w0[0]) + np.outer(v2, w0[1])
 
 
 def decomposition_objective(state: RankTwoState, measure: MeasureDescriptor,
                             nu: int) -> tuple[Callable[[np.ndarray], float], int]:
-    """The roof objective on size-nu ensembles, in exponential coordinates.
+    """The roof objective on size-nu ensembles, in phase-fixed coordinates.
 
     Returns (f, dim) with f(x) = sum_i E(psi~_i(x)) for x in R^dim,
-    dim = 4 nu - 4, the real dimension of the nu x 2 isometries; the rows
-    psi~_i(x) are ``_exp_rows`` of x. Subnormalized vectors keep the
-    objective smooth; by homogeneity the sum equals sum_i p_i E(psi_i). Each
-    call costs one nu x nu eigh plus O(nu D) arithmetic, with
-    P(a phi0 + b phi1) = sum_j c_j a^(D-j) b^j evaluated as one product of
-    monomials for either measure degree D.
+    dim = 3 nu - 4, the real dimension of the nu x 2 isometries modulo a
+    phase on each row; the rows psi~_i(x) are ``_chart_rows`` of x.
+    Subnormalized vectors keep the objective smooth; by homogeneity the sum
+    equals sum_i p_i E(psi_i). f is a scalar kernel over Python floats and
+    complex numbers, with no numpy call: the chart, the rows (a_i, b_i),
+    P(a_i phi0 + b_i phi1) = sum_j c_j a_i^(D-j) b_i^j by homogeneous Horner,
+    and E = mag(1) |P|^(2/D), the form homogeneity of degree 2 forces on mag
+    (|P| or sqrt|P| for the measures' degrees D = 2 and 4).
     """
-    w0 = _eigen_rows(state)
-    hmap = _horizontal_map(nu)
-    c = build_polynomial(state, measure).coeffs
-    pb = np.arange(c.size)
-    pa = pb[::-1]
-    mag = measure.mag
+    (w00, w01), (w10, w11) = _eigen_rows(state).tolist()
+    c0, *cs = build_polynomial(state, measure).coeffs.tolist()
+    scale = float(measure.mag(1.0))
+    quartic = measure.poly_degree == 4
 
     def f(x: np.ndarray) -> float:
-        ab = _exp_rows(x, hmap, w0)
-        return float(mag((ab[:, :1] ** pa * ab[:, 1:] ** pb) @ c).sum())
+        v1, v2 = _chart(x.tolist(), nu)
+        tot = 0.0
+        for p1, p2 in zip(v1, v2):
+            a = p1 * w00 + p2 * w10
+            b = p1 * w01 + p2 * w11
+            acc, bj = c0, 1.0
+            for cj in cs:
+                bj *= b
+                acc = acc * a + cj * bj
+            tot += math.sqrt(abs(acc)) if quartic else abs(acc)
+        return scale * tot
 
-    return f, 4 * nu - 4
+    return f, 3 * nu - 4
 
 
 def fd_gradient_norm(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -288,13 +317,14 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
     """Brute-force roof: multistart derivative-free minimization.
 
     Restarts are spread round-robin over ensemble sizes nu = 2..nu_max.
-    Each restart starts from Gaussian coordinates x in R^(4 nu - 4) (see
+    Each restart starts from Gaussian coordinates x in R^(3 nu - 4) (see
     ``decomposition_objective``) and is refined with Powell until the step
-    falls below 1e-8 or 120 direction sweeps pass. These settings are tuned for cross-checking the closed form at
-    ~1e-8: looser line searches with many restarts beat a few deep ones,
-    since the landscape has plenty of equivalent minima. The
-    finite-difference gradient norm is recorded at the winner, and every
-    restart's minimum and the summed evaluation count go into the stats.
+    falls below 1e-8 or 120 direction sweeps pass. These settings are tuned
+    for cross-checking the closed form at ~1e-8: looser line searches with
+    many restarts beat a few deep ones, since the landscape has plenty of
+    equivalent minima. The finite-difference gradient norm is recorded at
+    the winner, and every restart's minimum, the summed evaluation count and
+    the wall time go into the stats.
 
     A rank-1 state short-circuits to its pure value (the only ensembles are
     trivial).
@@ -304,12 +334,13 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
     the square root magnifies their rounding near a root, and Powell finds
     those dips (up to ~3e-9 below the roof on rotated family states).
     """
+    t0 = time.perf_counter()
     cfg = config or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
     if state.eigenvalues()[1] < TOL.rank_deficient:
         e0 = PureState(state.basis_matrix() @ _eigvec_coords(state)[0], state.m)
         dec = Decomposition(np.array([1.0]), (e0,), state)
-        stats = OracleStats(0, (), 0.0, 1, dec, (), 0)
+        stats = OracleStats(0, (), 0.0, 1, dec, (), 0, 0.0)
         return RoofResult(measure.value(e0), "oracle", oracle=stats)
 
     nus = list(range(2, cfg.nu_max + 1))
@@ -328,9 +359,10 @@ def oracle_minimize(state: RankTwoState, measure: MeasureDescriptor,
         if res.fun < best_val:
             best_val, best_x, best_nu = float(res.fun), res.x, nu
     final_grad = fd_gradient_norm(objectives[best_nu][0], best_x)
-    rows = _exp_rows(best_x, _horizontal_map(best_nu), _eigen_rows(state))
+    rows = _chart_rows(best_x, best_nu, _eigen_rows(state))
     stats = OracleStats(cfg.restarts, tuple(used_nus), final_grad, best_nu,
-                        _decomposition(state, rows), tuple(minima), nfev)
+                        _decomposition(state, rows), tuple(minima), nfev,
+                        time.perf_counter() - t0)
     return RoofResult(best_val, "oracle", oracle=stats)
 
 

@@ -236,6 +236,13 @@ class TestRoof:
         # Bell-diagonal mix of |phi+>, |phi-> at r = 0.6 has roof 0.6
         assert abs(report["value"] - 0.6) < 1e-6
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_oracle_needs_a_restart(self, runner, bell_diagonal_file, restarts):
+        res = runner.invoke(main, ["roof", bell_diagonal_file, "-M", "concurrence",
+                                   "--method", "oracle", "--restarts", restarts])
+        assert res.exit_code == 2
+        assert "--restarts" in res.stderr
+
     def test_nan_amplitude_rejected(self, runner, nan_pure_file):
         res = runner.invoke(main, ["roof", nan_pure_file, "-M", "concurrence"])
         assert res.exit_code == 3
@@ -313,6 +320,12 @@ class TestScan:
     def test_bad_draws(self, runner):
         res = runner.invoke(main, ["scan", "--draws", "0"])
         assert res.exit_code == 2
+
+    def test_oracle_needs_a_restart(self, runner):
+        res = runner.invoke(main, ["scan", "--classes", "5", "--draws", "1",
+                                   "--with-oracle", "--restarts", "0"])
+        assert res.exit_code == 2
+        assert "--restarts" in res.stderr
 
 
 class TestBlochGrid:

@@ -5,10 +5,9 @@ import pytest
 
 from oneroot.convexroof import (
     OptimizerConfig,
+    _chart_rows,
     _decomposition,
     _eigen_rows,
-    _exp_rows,
-    _horizontal_map,
     average_over_decomposition,
     closed_form,
     decomposition_objective,
@@ -44,6 +43,13 @@ def three_qubit_family_state(a, b, c, g, t1, t2, r, theta, phi):
     v1[0b000], v1[0b011], v1[0b101], v1[0b110] = g, t1, t2, t3
     return make_rank_two(pure_state(v0 / np.linalg.norm(v0)),
                          pure_state(v1 / np.linalg.norm(v1)),
+                         bloch_vector(r, theta, phi))
+
+
+def generic_span_state(m, rng, r=0.6, theta=1.2, phi=0.5):
+    q, _ = np.linalg.qr(rng.standard_normal((2 ** m, 2))
+                        + 1j * rng.standard_normal((2 ** m, 2)))
+    return make_rank_two(pure_state(q[:, 0]), pure_state(q[:, 1]),
                          bloch_vector(r, theta, phi))
 
 
@@ -204,6 +210,7 @@ class TestOracle:
         assert stats.restarts == 6
         assert stats.nu_values == (2, 3, 4, 2, 3, 4)
         assert stats.final_gradient_norm < 1e-4
+        assert stats.seconds > 0.0
         dec = stats.decomposition
         assert dec.reconstruction_error() < 1e-10
         avg = average_over_decomposition(dec, CONCURRENCE)
@@ -211,10 +218,7 @@ class TestOracle:
 
     def test_winner_decomposition_on_quartic_measure(self):
         # the degree-4 branch of the objective against its own ensemble
-        rng = np.random.default_rng(29)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
-        st = make_rank_two(pure_state(q[:, 0]), pure_state(q[:, 1]),
-                           bloch_vector(0.4, 1.0, 2.0))
+        st = generic_span_state(3, np.random.default_rng(29), 0.4, 1.0, 2.0)
         assert not certify(st, SQRT_THREE_TANGLE).one_root
         res = oracle_minimize(st, SQRT_THREE_TANGLE, OptimizerConfig(restarts=2, nu_max=3))
         dec = res.oracle.decomposition
@@ -228,7 +232,7 @@ class TestOracle:
         assert len(stats.restart_minima) == stats.restarts == 5
         assert min(stats.restart_minima) == res.value
         # each Powell search evaluates the objective at least once per coordinate
-        assert stats.nfev >= sum(4 * nu - 4 for nu in stats.nu_values)
+        assert stats.nfev >= sum(3 * nu - 4 for nu in stats.nu_values)
 
     def test_rank_one_short_circuit(self):
         st = two_qubit_family_state(1.1, 0.2, 1.0, 0.0, 0.0)
@@ -236,7 +240,13 @@ class TestOracle:
         assert res.oracle.restarts == 0
         assert res.oracle.restart_minima == ()
         assert res.oracle.nfev == 0
+        assert res.oracle.seconds == 0.0
         assert abs(res.value - wootters_mixed_concurrence(st.density())) < 1e-12
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2}, {"nu_max": 1}])
+    def test_config_rejects_empty_search(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**kwargs)
 
     def test_three_qubit_oracle_agrees_with_closed_form(self):
         st = three_qubit_family_state(0.5, 0.3, 0.4, 0.6, 0.2, 0.3, 0.6, 0.8, 0.3)
@@ -246,6 +256,31 @@ class TestOracle:
         assert abs(res.value - cf) < 1e-8
 
 
+def _sphere_angles(y):
+    """Hyperspherical angles of the unit vector y, each in [0, pi] but the
+    last in (-pi, pi]."""
+    tails = np.sqrt(np.cumsum((y ** 2)[::-1])[::-1])
+    ang = np.arctan2(tails[1:], y[:-1])
+    ang[-1] = np.arctan2(y[-1], y[-2])
+    return ang
+
+
+def _chart_coordinates(v):
+    """The chart coordinates of a nu x 2 isometry whose first column is real:
+    the angles of v1, and those of u = (R^T v2)[1:], with R the rotation in
+    the plane of e1 and [0; t] that takes e1 to v1."""
+    nu = v.shape[0]
+    v1 = v[:, 0].real
+    a = _sphere_angles(v1)
+    tau = np.zeros(nu)
+    tau[1:] = v1[1:] / np.linalg.norm(v1[1:])
+    e1 = np.eye(nu)[0]
+    rot = (np.eye(nu) + np.sin(a[0]) * (np.outer(tau, e1) - np.outer(e1, tau))
+           + (np.cos(a[0]) - 1.0) * (np.outer(e1, e1) + np.outer(tau, tau)))
+    u = (rot.T @ v[:, 1])[1:]
+    return np.concatenate([a, _sphere_angles(np.column_stack([u.real, u.imag]).ravel())])
+
+
 class TestObjective:
     def test_constant_on_one_root_state(self):
         # the roof objective of a one-root state is flat: every ensemble
@@ -253,7 +288,7 @@ class TestObjective:
         st = two_qubit_family_state(0.9, 0.3, 0.4, 0.9, 0.5)
         cf = closed_form(st, certify(st, CONCURRENCE)).value
         f, dim = decomposition_objective(st, CONCURRENCE, 3)
-        assert dim == 8
+        assert dim == 5
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.standard_normal(dim)
@@ -261,31 +296,54 @@ class TestObjective:
             assert fd_gradient_norm(f, x) < 1e-8
 
     @pytest.mark.parametrize("nu", [2, 3, 4, 5])
-    def test_isometry_coordinates(self, nu):
-        # x in R^(4 nu - 4) covers the nu x 2 isometries without a flat
-        # coordinate: the rows' Jacobian has full column rank
+    def test_phase_fixed_chart(self, nu):
+        # x in R^(3 nu - 4) covers the nu x 2 isometries modulo row phases
+        # without a flat coordinate
         rng = np.random.default_rng(40 + nu)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        st = make_rank_two(pure_state(q[:, 0]), pure_state(q[:, 1]),
-                           bloch_vector(0.6, 1.2, 0.5))
+        st = generic_span_state(2, rng)
         _, dim = decomposition_objective(st, CONCURRENCE, nu)
-        assert dim == 4 * nu - 4
-        hmap, w0 = _horizontal_map(nu), _eigen_rows(st)
-        assert hmap.shape == (nu, 2 * nu, dim)
-        x0_rows = _exp_rows(np.zeros(dim), hmap, w0)
+        assert dim == 3 * nu - 4
+        w0 = _eigen_rows(st)
+        x0_rows = _chart_rows(np.zeros(dim), nu, w0)
         assert np.array_equal(x0_rows[:2], w0) and not x0_rows[2:].any()
+
+        def projectors(x):
+            # each row's r r^dag, the data a phase on the row leaves alone
+            rows = _chart_rows(x, nu, w0)
+            cross = rows[:, 0] * rows[:, 1].conj()
+            return np.concatenate([np.abs(rows).ravel() ** 2, cross.real, cross.imag])
+
         step = 1e-6
         for _ in range(5):
             x = rng.standard_normal(dim)
-            rows = _exp_rows(x, hmap, w0)
-            assert _decomposition(st, rows).reconstruction_error() < 1e-12
-            jac = np.empty((2 * rows.size, dim))
+            assert _decomposition(st, _chart_rows(x, nu, w0)).reconstruction_error() < 1e-12
+            # away from the poles of the angles, where hyperspherical charts fold
+            x = rng.uniform(0.2, 1.4, dim)
+            jac = np.empty((4 * nu, dim))
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = step
-                d = (_exp_rows(x + e, hmap, w0) - _exp_rows(x - e, hmap, w0)).ravel()
-                jac[:, i] = np.concatenate([d.real, d.imag]) / (2.0 * step)
+                jac[:, i] = (projectors(x + e) - projectors(x - e)) / (2.0 * step)
             assert np.linalg.matrix_rank(jac, tol=1e-6) == dim
+
+        for _ in range(5):
+            v = np.linalg.qr(rng.standard_normal((nu, 2))
+                             + 1j * rng.standard_normal((nu, 2)))[0]
+            v = v * (v[:, :1].conj() / np.abs(v[:, :1]))  # first column real, >= 0
+            x = _chart_coordinates(v)
+            assert np.abs(_chart_rows(x, nu, w0) - v @ w0).max() < 1e-12
+
+    @pytest.mark.parametrize("m, measure", [(2, CONCURRENCE), (3, SQRT_THREE_TANGLE)])
+    def test_kernel_matches_measure_on_amplitudes(self, m, measure):
+        st = generic_span_state(m, np.random.default_rng(50 + m))
+        w0 = _eigen_rows(st)
+        rng = np.random.default_rng(60 + m)
+        for nu in (2, 3, 4):
+            f, dim = decomposition_objective(st, measure, nu)
+            for _ in range(10):
+                x = rng.standard_normal(dim)
+                dec = _decomposition(st, _chart_rows(x, nu, w0))
+                assert abs(f(x) - average_over_decomposition(dec, measure)) < 1e-12
 
     def test_gradient_nonzero_off_one_root(self):
         st = bell_diagonal_state(0.6)
